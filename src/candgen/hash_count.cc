@@ -1,11 +1,12 @@
 #include "candgen/hash_count.h"
 
 #include <algorithm>
+#include <atomic>
+#include <cstdint>
 #include <unordered_map>
 #include <vector>
 
 #include "obs/metrics.h"
-#include "util/hashing.h"
 #include "util/status.h"
 
 namespace sans {
@@ -18,105 +19,175 @@ struct BucketKey {
   uint64_t value;
 };
 
-// The probe/count/flush engine shared by every Hash-Count variant,
-// sequential and sharded — a single implementation so the variants
-// cannot drift. Columns are processed in ascending order; for column
-// i, each of its keys is probed against the bucket of earlier columns
-// holding the same key, accumulating per-pair collision counts in a
-// reused counter array; `emit(j, i, count)` fires once per earlier
-// column j with at least one collision; then i's keys are inserted.
-//
-// Uniform empty-column rule: a column whose `keys` callback produces
-// nothing is skipped entirely and can never become a candidate. The
-// Min-Hash keys callback returns nothing for all-sentinel (empty)
-// columns; empty K-MH signatures produce nothing naturally.
-template <typename KeysFn, typename EmitFn>
-void CountBucketCollisions(ColumnId num_cols, int num_tables,
-                           size_t bucket_reserve, const KeysFn& keys,
-                           const EmitFn& emit) {
-  std::vector<std::unordered_map<uint64_t, std::vector<ColumnId>>> tables(
-      num_tables);
-  if (num_tables == 1 && bucket_reserve > 0) {
-    tables[0].reserve(bucket_reserve);
-  }
-  std::vector<uint64_t> counter(num_cols, 0);
-  std::vector<ColumnId> touched;
+// A column's entry in one of its buckets: the bucket, and how many
+// lower-id columns the bucket already held when the column was
+// appended. Those are exactly the columns the column probes.
+struct BucketRef {
+  uint32_t bucket;
+  uint32_t prefix;
+};
+
+// Every bucket of every table, built once before any probing and
+// read-only afterwards. Columns are appended in ascending id, so each
+// bucket's ids ascend and a column's lower-id bucket-mates are the
+// bucket's first `prefix` entries.
+struct BucketTables {
+  // Column i's refs are refs[column_begin[i], column_begin[i + 1]).
+  std::vector<size_t> column_begin;
+  std::vector<BucketRef> refs;
+  // Bucket b's ids are ids[bucket_begin[b], bucket_begin[b + 1]).
+  std::vector<size_t> bucket_begin;
+  std::vector<ColumnId> ids;
+};
+
+template <typename KeysFn>
+BucketTables BuildBucketTables(ColumnId num_cols, int num_tables,
+                               const KeysFn& keys) {
+  BucketTables tables;
+  std::vector<std::unordered_map<uint64_t, uint32_t>> bucket_of(num_tables);
+  std::vector<size_t> bucket_size;
   std::vector<BucketKey> column_keys;
+  tables.column_begin.reserve(static_cast<size_t>(num_cols) + 1);
+  tables.column_begin.push_back(0);
   for (ColumnId i = 0; i < num_cols; ++i) {
     column_keys.clear();
     keys(i, &column_keys);
-    if (column_keys.empty()) continue;
-    touched.clear();
     for (const BucketKey& key : column_keys) {
-      auto it = tables[key.table].find(key.value);
-      if (it == tables[key.table].end()) continue;
-      for (ColumnId j : it->second) {
-        if (counter[j] == 0) touched.push_back(j);
-        ++counter[j];
+      const auto [it, inserted] = bucket_of[key.table].try_emplace(
+          key.value, static_cast<uint32_t>(bucket_size.size()));
+      if (inserted) {
+        SANS_CHECK_LT(bucket_size.size(), size_t{UINT32_MAX});
+        bucket_size.push_back(0);
+      }
+      tables.refs.push_back(BucketRef{
+          it->second, static_cast<uint32_t>(bucket_size[it->second]++)});
+    }
+    tables.column_begin.push_back(tables.refs.size());
+  }
+  tables.bucket_begin.assign(bucket_size.size() + 1, 0);
+  for (size_t b = 0; b < bucket_size.size(); ++b) {
+    tables.bucket_begin[b + 1] = tables.bucket_begin[b] + bucket_size[b];
+  }
+  tables.ids.resize(tables.refs.size());
+  for (ColumnId i = 0; i < num_cols; ++i) {
+    for (size_t r = tables.column_begin[i]; r < tables.column_begin[i + 1];
+         ++r) {
+      const BucketRef& ref = tables.refs[r];
+      tables.ids[tables.bucket_begin[ref.bucket] + ref.prefix] = i;
+    }
+  }
+  return tables;
+}
+
+// Splits [0, num_cols) into `num_ranges` contiguous column ranges of
+// about equal probe work. Column i's work is its bucket prefixes
+// (which grow with i), plus one per key for the lookup itself.
+std::vector<ColumnId> SplitByWork(const BucketTables& tables,
+                                  ColumnId num_cols, uint64_t num_ranges) {
+  uint64_t total = 0;
+  for (const BucketRef& ref : tables.refs) total += ref.prefix + 1;
+  std::vector<ColumnId> bounds = {0};
+  uint64_t done = 0;
+  for (ColumnId i = 0; i < num_cols; ++i) {
+    for (size_t r = tables.column_begin[i]; r < tables.column_begin[i + 1];
+         ++r) {
+      done += tables.refs[r].prefix + 1;
+    }
+    while (bounds.size() < num_ranges &&
+           done * num_ranges >= total * bounds.size()) {
+      bounds.push_back(i + 1);
+    }
+  }
+  bounds.resize(num_ranges + 1, num_cols);
+  return bounds;
+}
+
+// Probe ranges per worker thread: enough that a slow range does not
+// leave the other workers idle at the end.
+constexpr int kRangesPerWorker = 4;
+
+// The one Hash-Count engine behind every variant and thread count.
+// Builds the bucket tables once, then probes contiguous column ranges
+// on the pool (inline for a null pool, which is one worker and one
+// range). Column i adds one to a per-worker counter for every
+// lower-id column it shares a bucket with, so a pair's count is
+// complete when i finishes, and `keep(j, i, count)` applies the
+// variant's threshold inline. Each range's matches are kept in column
+// order and the ranges are concatenated in order, so the output is the
+// same for every thread count. Memory is the tables, one counter
+// array per worker and the kept matches.
+//
+// Uniform empty-column rule: a column whose `keys` callback produces
+// nothing is in no bucket and probes nothing, so it can never become
+// a candidate. The Min-Hash keys callback returns nothing for
+// all-sentinel (empty) columns; empty K-MH signatures produce nothing
+// naturally.
+template <typename KeysFn, typename KeepFn>
+CandidateSet CountBucketCollisions(ColumnId num_cols, int num_tables,
+                                   ThreadPool* pool, const KeysFn& keys,
+                                   const KeepFn& keep) {
+  const BucketTables tables = BuildBucketTables(num_cols, num_tables, keys);
+  const int workers = pool == nullptr ? 1 : pool->num_threads();
+  const std::vector<ColumnId> bounds = SplitByWork(
+      tables, num_cols, workers == 1 ? 1 : workers * kRangesPerWorker);
+  const int64_t num_ranges = static_cast<int64_t>(bounds.size()) - 1;
+
+  struct Match {
+    ColumnPair pair;
+    uint64_t count;
+  };
+  std::vector<std::vector<Match>> matches(num_ranges);
+  std::atomic<int64_t> next_range{0};
+  static Counter* const pairs_counted = MetricsRegistry::Global().GetCounter(
+      "sans_candgen_pairs_counted_total");
+  const auto worker = [&](int64_t /*worker*/) -> Status {
+    std::vector<uint32_t> counter(num_cols, 0);
+    // The first touched[0, num_touched) are column i's distinct
+    // bucket-mates in first-touch order.
+    std::vector<ColumnId> touched(num_cols);
+    uint64_t counted = 0;
+    for (int64_t r = next_range++; r < num_ranges; r = next_range++) {
+      for (ColumnId i = bounds[r]; i < bounds[r + 1]; ++i) {
+        size_t num_touched = 0;
+        for (size_t k = tables.column_begin[i]; k < tables.column_begin[i + 1];
+             ++k) {
+          const BucketRef& ref = tables.refs[k];
+          const ColumnId* mates = &tables.ids[tables.bucket_begin[ref.bucket]];
+          for (uint32_t p = 0; p < ref.prefix; ++p) {
+            // Branch-free: the slot is always written, and only a first
+            // touch keeps it. First touches are common, so a branch
+            // here would often mispredict.
+            touched[num_touched] = mates[p];
+            num_touched += counter[mates[p]]++ == 0;
+          }
+        }
+        counted += num_touched;
+        for (size_t t = 0; t < num_touched; ++t) {
+          const ColumnId j = touched[t];
+          if (keep(j, i, counter[j])) {
+            matches[r].push_back(Match{ColumnPair(j, i), counter[j]});
+          }
+          counter[j] = 0;
+        }
       }
     }
-    for (ColumnId j : touched) {
-      emit(j, i, counter[j]);
-      counter[j] = 0;
-    }
-    for (const BucketKey& key : column_keys) {
-      tables[key.table][key.value].push_back(i);
-    }
-  }
-}
+    pairs_counted->Increment(counted);
+    return Status::OK();
+  };
+  // Workers cannot fail; a null pool runs the one worker inline.
+  const Status probed =
+      pool == nullptr ? worker(0) : pool->ParallelFor(workers, worker);
+  SANS_CHECK(probed.ok());
 
-// Shard ownership of a bucket value: every (table, value) key lands in
-// exactly one shard, so per-shard collision counts sum to the
-// sequential counts. Mix64 spreads skewed value distributions evenly.
-bool InShard(uint64_t value, int shard, int num_shards) {
-  return static_cast<int>(Mix64(value) %
-                          static_cast<uint64_t>(num_shards)) == shard;
-}
-
-// All Hash-Count variants (sequential and sharded) report their final
-// candidate set size into the same counter the Min-LSH and Hamming-LSH
-// generators use; the parallel entry points fall back to the
-// sequential functions below one thread, so each call counts once.
-void CountCandidates(const CandidateSet& candidates) {
-  static Counter* const counter =
-      MetricsRegistry::Global().GetCounter("sans_candgen_candidates_total");
-  counter->Increment(candidates.size());
-}
-
-// Sharded driver: runs CountBucketCollisions once per shard on the
-// pool (raw counts, no threshold), merges the shards' candidate sets
-// by summation, then applies `keep` to the exact totals.
-template <typename ShardKeysFn, typename KeepFn>
-Result<CandidateSet> ShardedBucketCount(ColumnId num_cols, int num_tables,
-                                        ThreadPool* pool,
-                                        const ShardKeysFn& shard_keys,
-                                        const KeepFn& keep) {
-  const int num_shards = pool->num_threads();
-  std::vector<CandidateSet> shards(num_shards);
-  SANS_RETURN_IF_ERROR(pool->ParallelFor(
-      num_shards, [&](int64_t shard) -> Status {
-        CandidateSet& partial = shards[shard];
-        CountBucketCollisions(
-            num_cols, num_tables, /*bucket_reserve=*/0,
-            [&](ColumnId i, std::vector<BucketKey>* out) {
-              shard_keys(i, static_cast<int>(shard), num_shards, out);
-            },
-            [&](ColumnId j, ColumnId i, uint64_t count) {
-              partial.Add(ColumnPair(j, i), count);
-            });
-        return Status::OK();
-      }));
-  CandidateSet merged;
-  for (const CandidateSet& shard : shards) {
-    merged.Merge(shard);
-  }
   CandidateSet candidates;
-  for (const auto& [pair, count] : merged) {
-    if (keep(pair, count)) {
-      candidates.Add(pair, count);
-    }
+  for (const std::vector<Match>& range : matches) {
+    for (const Match& match : range) candidates.Add(match.pair, match.count);
   }
-  CountCandidates(candidates);
+  // Reported into the same counter the Min-LSH and Hamming-LSH
+  // generators use.
+  static Counter* const num_candidates =
+      MetricsRegistry::Global().GetCounter("sans_candgen_candidates_total");
+  num_candidates->Increment(candidates.size());
   return candidates;
 }
 
@@ -124,14 +195,6 @@ void KMinHashKeys(const KMinHashSketch& sketch, ColumnId i,
                   std::vector<BucketKey>* out) {
   for (uint64_t value : sketch.Signature(i)) {
     out->push_back(BucketKey{0, value});
-  }
-}
-
-void MinHashKeys(const SignatureMatrix& signatures, ColumnId i,
-                 std::vector<BucketKey>* out) {
-  if (signatures.ColumnEmpty(i)) return;  // uniform empty-column rule
-  for (int l = 0; l < signatures.num_hashes(); ++l) {
-    out->push_back(BucketKey{l, signatures.Value(l, i)});
   }
 }
 
@@ -149,79 +212,29 @@ uint64_t AdaptiveThreshold(const KMinHashSketch& sketch, ColumnId i,
 
 CandidateSet HashCountKMinHash(const KMinHashSketch& sketch,
                                uint64_t min_intersection) {
-  SANS_CHECK_GE(min_intersection, 1u);
-  CandidateSet candidates;
-  CountBucketCollisions(
-      sketch.num_cols(), /*num_tables=*/1, sketch.TotalSignatureSize(),
-      [&](ColumnId i, std::vector<BucketKey>* out) {
-        KMinHashKeys(sketch, i, out);
-      },
-      [&](ColumnId j, ColumnId i, uint64_t count) {
-        if (count >= min_intersection) {
-          candidates.Add(ColumnPair(j, i), count);
-        }
-      });
-  CountCandidates(candidates);
-  return candidates;
+  return HashCountKMinHashParallel(sketch, min_intersection, nullptr).value();
 }
 
 CandidateSet HashCountKMinHashAdaptive(const KMinHashSketch& sketch,
                                        double fraction) {
-  SANS_CHECK_GE(fraction, 0.0);
-  SANS_CHECK_LE(fraction, 1.0);
-  CandidateSet candidates;
-  CountBucketCollisions(
-      sketch.num_cols(), /*num_tables=*/1, sketch.TotalSignatureSize(),
-      [&](ColumnId i, std::vector<BucketKey>* out) {
-        KMinHashKeys(sketch, i, out);
-      },
-      [&](ColumnId j, ColumnId i, uint64_t count) {
-        if (count >= AdaptiveThreshold(sketch, i, j, fraction)) {
-          candidates.Add(ColumnPair(j, i), count);
-        }
-      });
-  CountCandidates(candidates);
-  return candidates;
+  return HashCountKMinHashAdaptiveParallel(sketch, fraction, nullptr).value();
 }
 
 CandidateSet HashCountMinHash(const SignatureMatrix& signatures,
                               int min_agreements) {
-  SANS_CHECK_GE(min_agreements, 1);
-  CandidateSet candidates;
-  // One bucket table per row of M̂ (paper: "we use a different hash
-  // table (and set of buckets) for each row").
-  CountBucketCollisions(
-      signatures.num_cols(), signatures.num_hashes(), /*bucket_reserve=*/0,
-      [&](ColumnId i, std::vector<BucketKey>* out) {
-        MinHashKeys(signatures, i, out);
-      },
-      [&](ColumnId j, ColumnId i, uint64_t count) {
-        if (count >= static_cast<uint64_t>(min_agreements)) {
-          candidates.Add(ColumnPair(j, i), count);
-        }
-      });
-  CountCandidates(candidates);
-  return candidates;
+  return HashCountMinHashParallel(signatures, min_agreements, nullptr).value();
 }
 
 Result<CandidateSet> HashCountKMinHashParallel(const KMinHashSketch& sketch,
                                                uint64_t min_intersection,
                                                ThreadPool* pool) {
   SANS_CHECK_GE(min_intersection, 1u);
-  if (pool == nullptr || pool->num_threads() <= 1) {
-    return HashCountKMinHash(sketch, min_intersection);
-  }
-  return ShardedBucketCount(
+  return CountBucketCollisions(
       sketch.num_cols(), /*num_tables=*/1, pool,
-      [&](ColumnId i, int shard, int num_shards,
-          std::vector<BucketKey>* out) {
-        for (uint64_t value : sketch.Signature(i)) {
-          if (InShard(value, shard, num_shards)) {
-            out->push_back(BucketKey{0, value});
-          }
-        }
+      [&](ColumnId i, std::vector<BucketKey>* out) {
+        KMinHashKeys(sketch, i, out);
       },
-      [&](ColumnPair /*pair*/, uint64_t count) {
+      [&](ColumnId /*j*/, ColumnId /*i*/, uint64_t count) {
         return count >= min_intersection;
       });
 }
@@ -230,45 +243,30 @@ Result<CandidateSet> HashCountKMinHashAdaptiveParallel(
     const KMinHashSketch& sketch, double fraction, ThreadPool* pool) {
   SANS_CHECK_GE(fraction, 0.0);
   SANS_CHECK_LE(fraction, 1.0);
-  if (pool == nullptr || pool->num_threads() <= 1) {
-    return HashCountKMinHashAdaptive(sketch, fraction);
-  }
-  return ShardedBucketCount(
+  return CountBucketCollisions(
       sketch.num_cols(), /*num_tables=*/1, pool,
-      [&](ColumnId i, int shard, int num_shards,
-          std::vector<BucketKey>* out) {
-        for (uint64_t value : sketch.Signature(i)) {
-          if (InShard(value, shard, num_shards)) {
-            out->push_back(BucketKey{0, value});
-          }
-        }
+      [&](ColumnId i, std::vector<BucketKey>* out) {
+        KMinHashKeys(sketch, i, out);
       },
-      [&](ColumnPair pair, uint64_t count) {
-        return count >=
-               AdaptiveThreshold(sketch, pair.first, pair.second, fraction);
+      [&](ColumnId j, ColumnId i, uint64_t count) {
+        return count >= AdaptiveThreshold(sketch, i, j, fraction);
       });
 }
 
 Result<CandidateSet> HashCountMinHashParallel(
     const SignatureMatrix& signatures, int min_agreements, ThreadPool* pool) {
   SANS_CHECK_GE(min_agreements, 1);
-  if (pool == nullptr || pool->num_threads() <= 1) {
-    return HashCountMinHash(signatures, min_agreements);
-  }
-  const int k = signatures.num_hashes();
-  return ShardedBucketCount(
-      signatures.num_cols(), k, pool,
-      [&](ColumnId i, int shard, int num_shards,
-          std::vector<BucketKey>* out) {
+  // One bucket table per row of M̂ (paper: "we use a different hash
+  // table (and set of buckets) for each row").
+  return CountBucketCollisions(
+      signatures.num_cols(), signatures.num_hashes(), pool,
+      [&](ColumnId i, std::vector<BucketKey>* out) {
         if (signatures.ColumnEmpty(i)) return;  // uniform empty-column rule
-        for (int l = 0; l < k; ++l) {
-          const uint64_t value = signatures.Value(l, i);
-          if (InShard(value, shard, num_shards)) {
-            out->push_back(BucketKey{l, value});
-          }
+        for (int l = 0; l < signatures.num_hashes(); ++l) {
+          out->push_back(BucketKey{l, signatures.Value(l, i)});
         }
       },
-      [&](ColumnPair /*pair*/, uint64_t count) {
+      [&](ColumnId /*j*/, ColumnId /*i*/, uint64_t count) {
         return count >= static_cast<uint64_t>(min_agreements);
       });
 }

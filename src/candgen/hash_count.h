@@ -11,21 +11,23 @@
 //    the number of rows on which the columns agree (same quantity
 //    row-sorting computes).
 //
-// All variants share one probe/count/flush engine (see hash_count.cc)
-// with a uniform empty-column rule: a column that contributes no
-// bucket keys — an empty K-MH signature, or an all-sentinel min-hash
-// column — is skipped entirely and never becomes a candidate. (Without
-// the min-hash skip, two empty columns would "agree" on the sentinel
-// in every row of M̂.)
+// All variants and thread counts run one engine (see hash_count.cc):
+// the bucket tables are built once, sequentially, with columns
+// appended in ascending id so every bucket is sorted. Column ranges
+// then probe in parallel: column i counts only its lower-id
+// bucket-mates, so each pair's count is complete when i finishes and
+// the variant's threshold applies inline. The ranges' matches are
+// concatenated in column order, so the output is the same for every
+// thread count, and memory is the tables plus one counter array per
+// worker thread. `sans_candgen_pairs_counted_total` counts the
+// distinct pairs whose counter was touched; it too is the same for
+// every thread count.
 //
-// The ...Parallel variants shard the bucket space by
-// Mix64(value) % num_shards: each shard builds and probes its own
-// bucket tables over its slice of the key space, produces raw
-// per-pair collision counts, and the shards' CandidateSets are merged
-// by summation — every (value, table) key lands in exactly one shard,
-// so the summed counts equal the sequential counts and the threshold
-// is applied after the merge. Output is identical to the sequential
-// variant for any shard count.
+// Uniform empty-column rule: a column that contributes no bucket keys
+// — an empty K-MH signature, or an all-sentinel min-hash column — is
+// skipped entirely and never becomes a candidate. (Without the
+// min-hash skip, two empty columns would "agree" on the sentinel in
+// every row of M̂.)
 
 #ifndef SANS_CANDGEN_HASH_COUNT_H_
 #define SANS_CANDGEN_HASH_COUNT_H_
@@ -62,10 +64,9 @@ CandidateSet HashCountKMinHashAdaptive(const KMinHashSketch& sketch,
 CandidateSet HashCountMinHash(const SignatureMatrix& signatures,
                               int min_agreements);
 
-/// Sharded variants: one shard per pool thread, each building its own
-/// bucket tables over Mix64(value) % num_shards == shard. A null pool
-/// (or a single-thread pool) falls back to the sequential variant.
-/// Output is identical to the sequential variant.
+/// The same counts with the probe spread over `pool`. A null or
+/// 1-thread pool probes inline; the sequential functions above are
+/// these with a null pool. Output is identical for every pool.
 Result<CandidateSet> HashCountKMinHashParallel(const KMinHashSketch& sketch,
                                                uint64_t min_intersection,
                                                ThreadPool* pool);

@@ -2,7 +2,7 @@
 //
 // The pool is deliberately simple: a mutex-protected FIFO task queue
 // and N worker threads, no work stealing. Mining work is coarse
-// (row blocks, bucket shards, LSH bands), so queue contention is
+// (row blocks, probe ranges, LSH bands), so queue contention is
 // negligible and the simple design keeps the determinism story easy
 // to audit.
 //
@@ -33,8 +33,8 @@ namespace sans {
 // the sequential reference path everywhere (no pool, no queue), so a
 // single-threaded run exercises exactly the code the paper describes.
 struct ExecutionConfig {
-  // Worker threads for the row fan-out in phases 1/3 and the bucket
-  // shards / bands in phase 2.
+  // Worker threads for the row fan-out in phases 1/3 and the probe
+  // ranges / bands in phase 2.
   int num_threads = 1;
   // Rows packed into one RowBlock handed to a worker.
   int block_rows = 4096;

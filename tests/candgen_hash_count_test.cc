@@ -2,9 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <utility>
+#include <vector>
+
 #include "candgen/row_sort.h"
 #include "data/synthetic_generator.h"
 #include "matrix/row_stream.h"
+#include "obs/metrics.h"
 #include "sketch/estimators.h"
 #include "sketch/min_hash.h"
 
@@ -106,10 +111,10 @@ TEST(HashCountKMinHashTest, EmptySketchYieldsNothing) {
   EXPECT_TRUE(HashCountKMinHash(*sketch, 1).empty());
 }
 
-TEST(HashCountParallelTest, ShardedCountsMatchSequential) {
-  // The sharded parallel variants partition bucket values by
-  // hash(value) % num_shards and merge per-shard counts; the merged
-  // result must equal the single-table sequential count exactly.
+TEST(HashCountParallelTest, ThreadCountsMatchSequential) {
+  // The parallel variants split the probe into column ranges; the
+  // concatenated ranges must equal the one-range count exactly, for
+  // odd thread counts too.
   SyntheticConfig config;
   config.num_rows = 400;
   config.num_cols = 60;
@@ -161,21 +166,25 @@ TEST(HashCountParallelTest, ShardedCountsMatchSequential) {
   }
 }
 
-TEST(HashCountParallelTest, NullPoolFallsBackToSequential) {
+TEST(HashCountParallelTest, NullPoolRunsInline) {
+  // A null pool and a 1-thread pool both probe inline as one range.
   auto m = BinaryMatrix::FromRows(6, 3,
                                   {{0, 1}, {0, 1}, {0, 1}, {1, 2}, {2}, {0}});
   ASSERT_TRUE(m.ok());
   const KMinHashSketch sketch = SketchOf(*m, 4, 3);
-  auto parallel = HashCountKMinHashParallel(sketch, 1, nullptr);
-  ASSERT_TRUE(parallel.ok());
-  EXPECT_EQ(parallel->SortedEntries(),
-            HashCountKMinHash(sketch, 1).SortedEntries());
+  ThreadPool one_thread(1);
+  for (ThreadPool* pool : {static_cast<ThreadPool*>(nullptr), &one_thread}) {
+    auto parallel = HashCountKMinHashParallel(sketch, 1, pool);
+    ASSERT_TRUE(parallel.ok());
+    EXPECT_EQ(parallel->SortedEntries(),
+              HashCountKMinHash(sketch, 1).SortedEntries());
+  }
 }
 
 TEST(HashCountParallelTest, EmptyColumnsSkippedUniformly) {
   // Two all-empty min-hash columns must never collide with each other
-  // — a non-uniform skip rule would pair them k times. Same for the
-  // sharded path.
+  // — a non-uniform skip rule would pair them k times. The rule holds
+  // at every thread count.
   SignatureMatrix sig(3, 4);
   sig.SetValue(0, 1, 7);
   sig.SetValue(1, 1, 8);
@@ -191,6 +200,123 @@ TEST(HashCountParallelTest, EmptyColumnsSkippedUniformly) {
   auto parallel = HashCountMinHashParallel(sig, 2, &pool);
   ASSERT_TRUE(parallel.ok());
   EXPECT_EQ(parallel->SortedEntries(), sequential.SortedEntries());
+}
+
+// Thread invariance of output and work. The table's columns are dense
+// enough that nearly every pair shares some bucket, while the strict
+// thresholds keep only a few of those pairs: a design that stores
+// every colliding pair before thresholding holds far more pairs than
+// it returns, and at more threads it would store them more than once.
+class HashCountThreadInvarianceTest : public ::testing::Test {
+ protected:
+  static void SetUpTestSuite() {
+    SyntheticConfig config;
+    config.num_rows = 500;
+    config.num_cols = 300;
+    config.bands = {{3, 60.0, 90.0}};
+    config.min_density = 0.05;
+    config.max_density = 0.12;
+    config.seed = 71;
+    auto dataset = GenerateSynthetic(config);
+    ASSERT_TRUE(dataset.ok());
+    MinHashConfig mh;
+    mh.num_hashes = 24;
+    mh.seed = 8;
+    MinHashGenerator generator(mh);
+    InMemoryRowStream stream(&dataset->matrix);
+    auto sig = generator.Compute(&stream);
+    ASSERT_TRUE(sig.ok());
+    signatures_ = new SignatureMatrix(std::move(sig).value());
+    sketch_ = new KMinHashSketch(SketchOf(dataset->matrix, 30, 17));
+  }
+  static void TearDownTestSuite() {
+    delete signatures_;
+    delete sketch_;
+  }
+
+  struct Work {
+    size_t candidates = 0;
+    uint64_t pairs_counted = 0;
+  };
+
+  // Runs `count(pool)` at 1, 2, 4 and 8 threads. Asserts that the
+  // entries and the sans_candgen_pairs_counted_total delta equal the
+  // 1-thread ones, and returns the 1-thread figures.
+  template <typename CountFn>
+  static Work ExpectSameAtEveryThreadCount(const CountFn& count) {
+    Counter* const pairs_counted = MetricsRegistry::Global().GetCounter(
+        "sans_candgen_pairs_counted_total");
+    std::vector<std::pair<ColumnPair, uint64_t>> reference;
+    Work work;
+    for (int threads : {1, 2, 4, 8}) {
+      ExecutionConfig execution;
+      execution.num_threads = threads;
+      const std::unique_ptr<ThreadPool> pool = MaybeCreatePool(execution);
+      const uint64_t before = pairs_counted->Value();
+      const Result<CandidateSet> result = count(pool.get());
+      EXPECT_TRUE(result.ok());
+      if (!result.ok()) return work;
+      const uint64_t counted = pairs_counted->Value() - before;
+      if (threads == 1) {
+        reference = result->SortedEntries();
+        work = Work{reference.size(), counted};
+        continue;
+      }
+      EXPECT_EQ(result->SortedEntries(), reference) << "threads=" << threads;
+      EXPECT_EQ(counted, work.pairs_counted) << "threads=" << threads;
+    }
+    return work;
+  }
+
+  static SignatureMatrix* signatures_;
+  static KMinHashSketch* sketch_;
+};
+
+SignatureMatrix* HashCountThreadInvarianceTest::signatures_ = nullptr;
+KMinHashSketch* HashCountThreadInvarianceTest::sketch_ = nullptr;
+
+TEST_F(HashCountThreadInvarianceTest, KMinHashAbsolute) {
+  for (uint64_t min_intersection : {1, 6}) {
+    const Work work = ExpectSameAtEveryThreadCount([&](ThreadPool* pool) {
+      return HashCountKMinHashParallel(*sketch_, min_intersection, pool);
+    });
+    // Every counted pair shares a bucket, so at a cut of 1 all of them
+    // are kept.
+    if (min_intersection == 1) {
+      EXPECT_EQ(work.pairs_counted, work.candidates);
+    }
+  }
+  const Work strict = ExpectSameAtEveryThreadCount([&](ThreadPool* pool) {
+    return HashCountKMinHashParallel(*sketch_, 15, pool);
+  });
+  EXPECT_GT(strict.candidates, 0u);
+  EXPECT_GT(strict.pairs_counted, 20 * strict.candidates);
+}
+
+TEST_F(HashCountThreadInvarianceTest, KMinHashAdaptive) {
+  for (double fraction : {0.1, 0.5}) {
+    ExpectSameAtEveryThreadCount([&](ThreadPool* pool) {
+      return HashCountKMinHashAdaptiveParallel(*sketch_, fraction, pool);
+    });
+  }
+  const Work strict = ExpectSameAtEveryThreadCount([&](ThreadPool* pool) {
+    return HashCountKMinHashAdaptiveParallel(*sketch_, 0.3, pool);
+  });
+  EXPECT_GT(strict.candidates, 0u);
+  EXPECT_GT(strict.pairs_counted, 20 * strict.candidates);
+}
+
+TEST_F(HashCountThreadInvarianceTest, MinHash) {
+  for (int min_agreements : {1, 4}) {
+    ExpectSameAtEveryThreadCount([&](ThreadPool* pool) {
+      return HashCountMinHashParallel(*signatures_, min_agreements, pool);
+    });
+  }
+  const Work strict = ExpectSameAtEveryThreadCount([&](ThreadPool* pool) {
+    return HashCountMinHashParallel(*signatures_, 12, pool);
+  });
+  EXPECT_GT(strict.candidates, 0u);
+  EXPECT_GT(strict.pairs_counted, 20 * strict.candidates);
 }
 
 }  // namespace

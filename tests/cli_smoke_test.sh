@@ -68,10 +68,18 @@ echo "== sketch / pairs =="
 test -s corpus.sketch
 "$SANS_BIN" pairs --sketch corpus.sketch --threshold 0.5 > pairs.out
 head -1 pairs.out | grep -q 'ESTIMATED'
+# pairs and clusters run Hash-Count on every core by default; one
+# thread must give the same output.
+"$SANS_BIN" pairs --sketch corpus.sketch --threshold 0.5 --threads 1 \
+    > pairs_1t.out
+diff pairs.out pairs_1t.out
 
 echo "== clusters / disjunctions =="
 "$SANS_BIN" clusters --in corpus.sans --threshold 0.5 --min-size 3 > clusters.out
 head -1 clusters.out | grep -q 'clusters'
+"$SANS_BIN" clusters --in corpus.sans --threshold 0.5 --min-size 3 \
+    --threads 1 > clusters_1t.out
+diff clusters.out clusters_1t.out
 "$SANS_BIN" disjunctions --in corpus.sans --threshold 0.6 > disj.out
 head -1 disj.out | grep -q 'disjunction'
 

@@ -160,9 +160,9 @@ int Usage() {
       "  convert   --in FILE --out FILE (format by extension: .sans\n"
       "            binary, anything else text transactions)\n"
       "  sketch    --in FILE --out FILE [--k K] [--seed S]\n"
-      "  pairs     --sketch FILE [--threshold S]\n"
+      "  pairs     --sketch FILE [--threshold S] [--threads N]\n"
       "  clusters  --in FILE [--threshold S] [--min-size N]\n"
-      "            [--min-cohesion F]\n"
+      "            [--min-cohesion F] [--threads N] [--block-rows N]\n"
       "  disjunctions --in FILE [--threshold S] [--k K]\n"
       "  index     --in FILE --out FILE [--k K] [--r R] [--l L]\n"
       "            [--seed S] [--threads N] [--block-rows N]\n"
@@ -547,11 +547,14 @@ int RunClusters(const Args& args) {
   if (!matrix.ok()) return Fail(matrix.status());
   InMemorySource source(&matrix.value());
   const double threshold = args.GetDouble("threshold", 0.5);
+  auto execution = ParseExecution(args);
+  if (!execution.ok()) return Fail(execution.status());
   // Mine pairs with K-MH, then extract cohesive clusters.
   KmhMinerConfig miner_config;
   miner_config.sketch.k = static_cast<int>(args.GetInt("k", 120));
   miner_config.sketch.seed = args.GetInt("seed", 0);
   miner_config.hash_count_slack = 0.4;
+  miner_config.execution = *execution;
   KmhMiner miner(miner_config);
   auto report = miner.Mine(source, threshold);
   if (!report.ok()) return Fail(report.status());
@@ -624,12 +627,16 @@ int RunPairsFromSketch(const Args& args) {
     std::fprintf(stderr, "threshold must lie in (0, 1]\n");
     return 2;
   }
+  auto execution = ParseExecution(args);
+  if (!execution.ok()) return Fail(execution.status());
+  const std::unique_ptr<ThreadPool> pool = MaybeCreatePool(*execution);
   // Hash-count over the sketch, then the unbiased estimator — phase 2
   // only, no table available for exact verification.
-  const CandidateSet candidates =
-      HashCountKMinHashAdaptive(*sketch, 0.5 * threshold);
+  auto candidates =
+      HashCountKMinHashAdaptiveParallel(*sketch, 0.5 * threshold, pool.get());
+  if (!candidates.ok()) return Fail(candidates.status());
   std::vector<SimilarPair> pairs;
-  for (const auto& [pair, count] : candidates) {
+  for (const auto& [pair, count] : *candidates) {
     const double estimate = EstimateSimilarityUnbiased(
         sketch->Signature(pair.first), sketch->Signature(pair.second),
         sketch->k());
