@@ -101,10 +101,9 @@ PhaseTimes RunOnce(const TableFileSource& source, int threads) {
   KmhMinerConfig kmh;
   kmh.sketch.k = 100;
   kmh.sketch.seed = 12;
-  kmh.execution = execution;
   Result<MiningReport> report = MiningReport();
   for (int run = 0; run < kCandgenRuns; ++run) {
-    report = KmhMiner(kmh).Mine(source, 0.3);
+    report = KmhMiner(kmh).Mine(source, 0.3, execution);
     SANS_CHECK(report.ok());
     const auto fastest = [&](double* seconds, const char* phase) {
       const double run_seconds = report->timers.Total(phase);

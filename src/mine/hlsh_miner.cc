@@ -1,8 +1,6 @@
 #include "mine/hlsh_miner.h"
 
-#include "candgen/candidate_set.h"
-#include "mine/parallel.h"
-#include "mine/verifier.h"
+#include "matrix/table_file.h"
 
 namespace sans {
 
@@ -10,44 +8,40 @@ HlshMiner::HlshMiner(const HlshMinerConfig& config) : config_(config) {
   SANS_CHECK(config.Validate().ok());
 }
 
-Result<MiningReport> HlshMiner::Mine(const RowStreamSource& source,
-                                     double threshold) {
-  if (threshold <= 0.0 || threshold > 1.0) {
-    return Status::InvalidArgument("threshold must lie in (0, 1]");
-  }
-  MiningReport report;
+std::string HlshMiner::FingerprintFields() const {
+  const HammingLshConfig& lsh = config_.lsh;
+  return ";r=" + std::to_string(lsh.rows_per_run) +
+         ";runs=" + std::to_string(lsh.num_runs) +
+         ";band=" + std::to_string(lsh.density_band) +
+         ";min_rows=" + std::to_string(lsh.min_rows) +
+         ";max_levels=" + std::to_string(lsh.max_levels) +
+         ";skip_zero=" + (lsh.skip_zero_keys ? "1" : "0") +
+         ";seed=" + std::to_string(lsh.seed);
+}
+
+Status HlshMiner::Sketch(const RowStreamSource& source,
+                         const ExecutionConfig& /*execution*/,
+                         ThreadPool* /*pool*/) {
+  SANS_ASSIGN_OR_RETURN(std::unique_ptr<RowStream> stream, source.Open());
+  SANS_ASSIGN_OR_RETURN(table_, MaterializeStream(stream.get()));
+  return Status::OK();
+}
+
+Status HlshMiner::WriteSketch(const std::string& path) const {
+  return WriteTableFile(*table_, path);
+}
+
+Status HlshMiner::ReadSketch(const std::string& path) {
+  SANS_ASSIGN_OR_RETURN(table_, ReadTableFile(path));
+  return Status::OK();
+}
+
+Result<CandidateSet> HlshMiner::Candidates(double /*threshold*/,
+                                           ThreadPool* /*pool*/) {
+  // Pyramid + density-banded bucketing.
   level_stats_.clear();
-
-  // Phase 1 for H-LSH is materialization: the scheme works on the
-  // data itself, not on a sketch.
-  BinaryMatrix matrix(0, 0);
-  {
-    ScopedPhase phase(&report.timers, kPhaseSignatures);
-    SANS_ASSIGN_OR_RETURN(std::unique_ptr<RowStream> stream, source.Open());
-    SANS_ASSIGN_OR_RETURN(matrix, MaterializeStream(stream.get()));
-  }
-
-  // Phase 2: pyramid + density-banded bucketing.
-  CandidateSet candidates;
-  {
-    ScopedPhase phase(&report.timers, kPhaseCandidates);
-    HammingLshCandidateGenerator generator(config_.lsh);
-    candidates = generator.GenerateWithStats(matrix, &level_stats_);
-  }
-  report.candidates = candidates.SortedPairs();
-  report.num_candidates = report.candidates.size();
-
-  // Phase 3: exact verification.
-  {
-    ScopedPhase phase(&report.timers, kPhaseVerify);
-    const std::unique_ptr<ThreadPool> pool =
-        MaybeCreatePool(config_.execution);
-    SANS_ASSIGN_OR_RETURN(
-        report.pairs,
-        VerifyCandidatesParallel(source, report.candidates, threshold,
-                                 config_.execution, pool.get()));
-  }
-  return report;
+  return HammingLshCandidateGenerator(config_.lsh)
+      .GenerateWithStats(*table_, &level_stats_);
 }
 
 }  // namespace sans

@@ -1,12 +1,9 @@
 #include "mine/kmh_miner.h"
 
-#include <algorithm>
-
-#include "candgen/candidate_set.h"
 #include "candgen/hash_count.h"
 #include "mine/parallel.h"
-#include "mine/verifier.h"
 #include "sketch/estimators.h"
+#include "sketch/sketch_io.h"
 
 namespace sans {
 
@@ -18,7 +15,6 @@ Status KmhMinerConfig::Validate() const {
   if (delta < 0.0 || delta >= 1.0) {
     return Status::InvalidArgument("delta must lie in [0, 1)");
   }
-  SANS_RETURN_IF_ERROR(execution.Validate());
   return Status::OK();
 }
 
@@ -26,59 +22,50 @@ KmhMiner::KmhMiner(const KmhMinerConfig& config) : config_(config) {
   SANS_CHECK(config.Validate().ok());
 }
 
-Result<MiningReport> KmhMiner::Mine(const RowStreamSource& source,
-                                    double threshold) {
-  if (threshold <= 0.0 || threshold > 1.0) {
-    return Status::InvalidArgument("threshold must lie in (0, 1]");
-  }
-  MiningReport report;
-  // One pool shared by all three phases (null => sequential).
-  const std::unique_ptr<ThreadPool> pool = MaybeCreatePool(config_.execution);
+std::string KmhMiner::FingerprintFields() const {
+  return ";k=" + std::to_string(config_.sketch.k) +
+         ";family=" + std::to_string(static_cast<int>(config_.sketch.family)) +
+         ";seed=" + std::to_string(config_.sketch.seed) +
+         ";slack=" + FingerprintDouble(config_.hash_count_slack) +
+         ";delta=" + FingerprintDouble(config_.delta) +
+         ";unbiased=" + (config_.unbiased_pruning ? "1" : "0");
+}
 
-  // Phase 1: bottom-k sketch computation (single pass, one hash/row).
-  KMinHashSketch sketch(1, 0);
-  {
-    ScopedPhase phase(&report.timers, kPhaseSignatures);
-    SANS_ASSIGN_OR_RETURN(
-        sketch, ComputeKMinHashParallel(source, config_.sketch,
-                                        config_.execution, pool.get()));
-  }
+Status KmhMiner::Sketch(const RowStreamSource& source,
+                        const ExecutionConfig& execution, ThreadPool* pool) {
+  SANS_ASSIGN_OR_RETURN(sketch_, ComputeKMinHashParallel(
+                                     source, config_.sketch, execution, pool));
+  return Status::OK();
+}
 
-  // Phase 2a: biased Hash-Count filter on |SIG_i ∩ SIG_j|.
-  // Phase 2b: unbiased Theorem-2 pruning of survivors.
-  std::vector<ColumnPair> survivors;
-  {
-    ScopedPhase phase(&report.timers, kPhaseCandidates);
-    // Adaptive Lemma-1 cut: proportional to each pair's signature
-    // sizes, so columns sparser than k are filtered fairly.
-    SANS_ASSIGN_OR_RETURN(
-        const CandidateSet candidates,
-        HashCountKMinHashAdaptiveParallel(
-            sketch, config_.hash_count_slack * threshold, pool.get()));
-    const double prune_floor = (1.0 - config_.delta) * threshold;
-    for (const auto& [pair, count] : candidates) {
-      if (config_.unbiased_pruning) {
-        const double estimate = EstimateSimilarityUnbiased(
-            sketch.Signature(pair.first), sketch.Signature(pair.second),
-            config_.sketch.k);
-        if (estimate < prune_floor) continue;
-      }
-      survivors.push_back(pair);
-    }
-    std::sort(survivors.begin(), survivors.end());
-  }
-  report.candidates = survivors;
-  report.num_candidates = survivors.size();
+Status KmhMiner::WriteSketch(const std::string& path) const {
+  return WriteKMinHashSketch(*sketch_, path);
+}
 
-  // Phase 3: exact verification (second pass).
-  {
-    ScopedPhase phase(&report.timers, kPhaseVerify);
-    SANS_ASSIGN_OR_RETURN(
-        report.pairs,
-        VerifyCandidatesParallel(source, survivors, threshold,
-                                 config_.execution, pool.get()));
+Status KmhMiner::ReadSketch(const std::string& path) {
+  SANS_ASSIGN_OR_RETURN(sketch_, ReadKMinHashSketch(path));
+  return Status::OK();
+}
+
+Result<CandidateSet> KmhMiner::Candidates(double threshold, ThreadPool* pool) {
+  // Phase 2a: biased Hash-Count filter on |SIG_i ∩ SIG_j|, with the
+  // adaptive Lemma-1 cut proportional to each pair's signature sizes,
+  // so columns sparser than k are filtered fairly.
+  SANS_ASSIGN_OR_RETURN(
+      CandidateSet filtered,
+      HashCountKMinHashAdaptiveParallel(
+          *sketch_, config_.hash_count_slack * threshold, pool));
+  if (!config_.unbiased_pruning) return filtered;
+  // Phase 2b: unbiased Theorem-2 pruning of the survivors.
+  const double prune_floor = (1.0 - config_.delta) * threshold;
+  CandidateSet candidates;
+  for (const auto& [pair, count] : filtered) {
+    const double estimate = EstimateSimilarityUnbiased(
+        sketch_->Signature(pair.first), sketch_->Signature(pair.second),
+        sketch_->k());
+    if (estimate >= prune_floor) candidates.Add(pair, count);
   }
-  return report;
+  return candidates;
 }
 
 }  // namespace sans

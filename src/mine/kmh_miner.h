@@ -8,10 +8,11 @@
 #ifndef SANS_MINE_KMH_MINER_H_
 #define SANS_MINE_KMH_MINER_H_
 
+#include <optional>
+
 #include "mine/miner.h"
 #include "sketch/k_min_hash.h"
 #include "util/status.h"
-#include "util/thread_pool.h"
 
 namespace sans {
 
@@ -28,26 +29,33 @@ struct KmhMinerConfig {
   /// When false, the unbiased pruning stage is skipped and every
   /// Hash-Count survivor goes to verification (ablation knob).
   bool unbiased_pruning = true;
-  /// Parallel execution knobs; num_threads == 1 runs the sequential
-  /// reference path. Output is identical for any thread count.
-  ExecutionConfig execution;
 
   Status Validate() const;
 };
 
-/// Three-phase K-Min-Hash miner.
+/// K-Min-Hash miner. Phase-1 artifact: the bottom-k sketch.
 class KmhMiner final : public Miner {
  public:
   explicit KmhMiner(const KmhMinerConfig& config);
 
   std::string name() const override { return "K-MH"; }
-  Result<MiningReport> Mine(const RowStreamSource& source,
-                            double threshold) override;
+  std::string tag() const override { return "kmh"; }
+  std::string FingerprintFields() const override;
+  Status Sketch(const RowStreamSource& source,
+                const ExecutionConfig& execution, ThreadPool* pool) override;
+  Status WriteSketch(const std::string& path) const override;
+  Status ReadSketch(const std::string& path) override;
+  /// Survivors of both stages, keeping their Hash-Count counts. The
+  /// estimator uses the sketch's own k.
+  Result<CandidateSet> Candidates(double threshold, ThreadPool* pool) override;
 
   const KmhMinerConfig& config() const { return config_; }
+  /// The phase-1 sketch; set after Sketch() or ReadSketch().
+  const KMinHashSketch& sketch() const { return *sketch_; }
 
  private:
   KmhMinerConfig config_;
+  std::optional<KMinHashSketch> sketch_;
 };
 
 }  // namespace sans

@@ -6,7 +6,7 @@
 #include "candgen/hash_count.h"
 #include "candgen/row_sort.h"
 #include "mine/parallel.h"
-#include "mine/verifier.h"
+#include "sketch/sketch_io.h"
 
 namespace sans {
 
@@ -15,7 +15,6 @@ Status MhMinerConfig::Validate() const {
   if (delta < 0.0 || delta >= 1.0) {
     return Status::InvalidArgument("delta must lie in [0, 1)");
   }
-  SANS_RETURN_IF_ERROR(execution.Validate());
   return Status::OK();
 }
 
@@ -23,57 +22,43 @@ MhMiner::MhMiner(const MhMinerConfig& config) : config_(config) {
   SANS_CHECK(config.Validate().ok());
 }
 
-Result<MiningReport> MhMiner::Mine(const RowStreamSource& source,
-                                   double threshold) {
-  if (threshold <= 0.0 || threshold > 1.0) {
-    return Status::InvalidArgument("threshold must lie in (0, 1]");
-  }
-  MiningReport report;
-  // One pool shared by all three phases (null => sequential).
-  const std::unique_ptr<ThreadPool> pool = MaybeCreatePool(config_.execution);
+std::string MhMiner::FingerprintFields() const {
+  const MinHashConfig& min_hash = config_.min_hash;
+  return ";k=" + std::to_string(min_hash.num_hashes) +
+         ";family=" + std::to_string(static_cast<int>(min_hash.family)) +
+         ";seed=" + std::to_string(min_hash.seed) +
+         ";candgen=" + std::to_string(static_cast<int>(config_.candidates)) +
+         ";delta=" + FingerprintDouble(config_.delta);
+}
 
-  // Phase 1: signature computation (single pass).
-  SignatureMatrix signatures(1, 0);
-  {
-    ScopedPhase phase(&report.timers, kPhaseSignatures);
-    SANS_ASSIGN_OR_RETURN(
-        signatures, ComputeMinHashParallel(source, config_.min_hash,
-                                           config_.execution, pool.get()));
-  }
+Status MhMiner::Sketch(const RowStreamSource& source,
+                       const ExecutionConfig& execution, ThreadPool* pool) {
+  SANS_ASSIGN_OR_RETURN(
+      signatures_,
+      ComputeMinHashParallel(source, config_.min_hash, execution, pool));
+  return Status::OK();
+}
 
-  // Phase 2: candidate generation in main memory.
-  CandidateSet candidates;
-  {
-    ScopedPhase phase(&report.timers, kPhaseCandidates);
-    const int k = config_.min_hash.num_hashes;
-    const int min_agreements = std::max(
-        1,
-        static_cast<int>(std::ceil((1.0 - config_.delta) * threshold * k)));
-    switch (config_.candidates) {
-      case MhCandidateAlgorithm::kRowSort: {
-        RowSorter sorter(&signatures);
-        candidates = sorter.Candidates(min_agreements);
-        break;
-      }
-      case MhCandidateAlgorithm::kHashCount:
-        SANS_ASSIGN_OR_RETURN(
-            candidates,
-            HashCountMinHashParallel(signatures, min_agreements, pool.get()));
-        break;
-    }
-  }
-  report.candidates = candidates.SortedPairs();
-  report.num_candidates = report.candidates.size();
+Status MhMiner::WriteSketch(const std::string& path) const {
+  return WriteSignatureMatrix(*signatures_, path);
+}
 
-  // Phase 3: exact verification (second pass).
-  {
-    ScopedPhase phase(&report.timers, kPhaseVerify);
-    SANS_ASSIGN_OR_RETURN(
-        report.pairs,
-        VerifyCandidatesParallel(source, report.candidates, threshold,
-                                 config_.execution, pool.get()));
+Status MhMiner::ReadSketch(const std::string& path) {
+  SANS_ASSIGN_OR_RETURN(signatures_, ReadSignatureMatrix(path));
+  return Status::OK();
+}
+
+Result<CandidateSet> MhMiner::Candidates(double threshold, ThreadPool* pool) {
+  const int k = config_.min_hash.num_hashes;
+  const int min_agreements = std::max(
+      1, static_cast<int>(std::ceil((1.0 - config_.delta) * threshold * k)));
+  switch (config_.candidates) {
+    case MhCandidateAlgorithm::kRowSort:
+      return RowSorter(&*signatures_).Candidates(min_agreements);
+    case MhCandidateAlgorithm::kHashCount:
+      return HashCountMinHashParallel(*signatures_, min_agreements, pool);
   }
-  return report;
+  return Status::InvalidArgument("unknown MH candidate algorithm");
 }
 
 }  // namespace sans

@@ -6,10 +6,11 @@
 #ifndef SANS_MINE_MH_MINER_H_
 #define SANS_MINE_MH_MINER_H_
 
+#include <optional>
+
 #include "mine/miner.h"
 #include "sketch/min_hash.h"
 #include "util/status.h"
-#include "util/thread_pool.h"
 
 namespace sans {
 
@@ -28,26 +29,29 @@ struct MhMinerConfig {
   /// Larger δ admits more candidates (fewer false negatives, more
   /// verification work).
   double delta = 0.2;
-  /// Parallel execution knobs; num_threads == 1 runs the sequential
-  /// reference path. Output is identical for any thread count.
-  ExecutionConfig execution;
 
   Status Validate() const;
 };
 
-/// Three-phase Min-Hash miner.
+/// Min-Hash miner. Phase-1 artifact: the k × m signature matrix.
 class MhMiner final : public Miner {
  public:
   explicit MhMiner(const MhMinerConfig& config);
 
   std::string name() const override { return "MH"; }
-  Result<MiningReport> Mine(const RowStreamSource& source,
-                            double threshold) override;
+  std::string tag() const override { return "mh"; }
+  std::string FingerprintFields() const override;
+  Status Sketch(const RowStreamSource& source,
+                const ExecutionConfig& execution, ThreadPool* pool) override;
+  Status WriteSketch(const std::string& path) const override;
+  Status ReadSketch(const std::string& path) override;
+  Result<CandidateSet> Candidates(double threshold, ThreadPool* pool) override;
 
   const MhMinerConfig& config() const { return config_; }
 
  private:
   MhMinerConfig config_;
+  std::optional<SignatureMatrix> signatures_;
 };
 
 }  // namespace sans

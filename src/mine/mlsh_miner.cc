@@ -1,7 +1,7 @@
 #include "mine/mlsh_miner.h"
 
 #include "mine/parallel.h"
-#include "mine/verifier.h"
+#include "sketch/sketch_io.h"
 
 namespace sans {
 
@@ -11,7 +11,6 @@ Status MlshMinerConfig::Validate() const {
     return Status::InvalidArgument(
         "sampled mode requires positive num_hashes");
   }
-  SANS_RETURN_IF_ERROR(execution.Validate());
   return Status::OK();
 }
 
@@ -38,54 +37,43 @@ Result<MlshMiner> MlshMiner::FromDistribution(
   return miner;
 }
 
-Result<MiningReport> MlshMiner::Mine(const RowStreamSource& source,
-                                     double threshold) {
-  if (threshold <= 0.0 || threshold > 1.0) {
-    return Status::InvalidArgument("threshold must lie in (0, 1]");
-  }
-  MiningReport report;
-  // One pool shared by all three phases (null => sequential).
-  const std::unique_ptr<ThreadPool> pool = MaybeCreatePool(config_.execution);
+std::string MlshMiner::FingerprintFields() const {
+  return ";r=" + std::to_string(config_.lsh.rows_per_band) +
+         ";l=" + std::to_string(config_.lsh.num_bands) +
+         ";sampled=" + (config_.lsh.sampled ? "1" : "0") +
+         ";num_hashes=" + std::to_string(config_.num_hashes) +
+         ";family=" + std::to_string(static_cast<int>(config_.family)) +
+         ";seed=" + std::to_string(config_.seed);
+}
 
-  const int k = config_.lsh.sampled
-                    ? config_.num_hashes
-                    : config_.lsh.rows_per_band * config_.lsh.num_bands;
+Status MlshMiner::Sketch(const RowStreamSource& source,
+                         const ExecutionConfig& execution, ThreadPool* pool) {
+  MinHashConfig mh_config;
+  const MinLshConfig& lsh = config_.lsh;
+  mh_config.num_hashes =
+      lsh.sampled ? config_.num_hashes : lsh.rows_per_band * lsh.num_bands;
+  mh_config.family = config_.family;
+  mh_config.seed = config_.seed;
+  SANS_ASSIGN_OR_RETURN(
+      signatures_, ComputeMinHashParallel(source, mh_config, execution, pool));
+  return Status::OK();
+}
 
-  // Phase 1: min-hash signatures sized for the band layout.
-  SignatureMatrix signatures(1, 0);
-  {
-    ScopedPhase phase(&report.timers, kPhaseSignatures);
-    MinHashConfig mh_config;
-    mh_config.num_hashes = k;
-    mh_config.family = config_.family;
-    mh_config.seed = config_.seed;
-    SANS_ASSIGN_OR_RETURN(
-        signatures, ComputeMinHashParallel(source, mh_config,
-                                           config_.execution, pool.get()));
-  }
+Status MlshMiner::WriteSketch(const std::string& path) const {
+  return WriteSignatureMatrix(*signatures_, path);
+}
 
-  // Phase 2: banded LSH bucketing, parallel per band.
-  CandidateSet candidates;
-  {
-    ScopedPhase phase(&report.timers, kPhaseCandidates);
-    MinLshConfig lsh = config_.lsh;
-    lsh.seed = config_.seed;
-    MinLshCandidateGenerator generator(lsh);
-    SANS_ASSIGN_OR_RETURN(candidates,
-                          generator.Generate(signatures, pool.get()));
-  }
-  report.candidates = candidates.SortedPairs();
-  report.num_candidates = report.candidates.size();
+Status MlshMiner::ReadSketch(const std::string& path) {
+  SANS_ASSIGN_OR_RETURN(signatures_, ReadSignatureMatrix(path));
+  return Status::OK();
+}
 
-  // Phase 3: exact verification.
-  {
-    ScopedPhase phase(&report.timers, kPhaseVerify);
-    SANS_ASSIGN_OR_RETURN(
-        report.pairs,
-        VerifyCandidatesParallel(source, report.candidates, threshold,
-                                 config_.execution, pool.get()));
-  }
-  return report;
+Result<CandidateSet> MlshMiner::Candidates(double /*threshold*/,
+                                           ThreadPool* pool) {
+  // Banded LSH bucketing, parallel per band.
+  MinLshConfig lsh = config_.lsh;
+  lsh.seed = config_.seed;
+  return MinLshCandidateGenerator(lsh).Generate(*signatures_, pool);
 }
 
 }  // namespace sans

@@ -15,7 +15,6 @@
 #include "mine/miner.h"
 #include "sketch/min_hash.h"
 #include "util/status.h"
-#include "util/thread_pool.h"
 
 namespace sans {
 
@@ -31,14 +30,12 @@ struct MlshMinerConfig {
   int num_hashes = 40;
   HashFamily family = HashFamily::kSplitMix64;
   uint64_t seed = 0;
-  /// Parallel execution knobs; num_threads == 1 runs the sequential
-  /// reference path. Output is identical for any thread count.
-  ExecutionConfig execution;
 
   Status Validate() const;
 };
 
-/// Three-phase Min-LSH miner.
+/// Min-LSH miner. Phase-1 artifact: the signature matrix sized for
+/// the band layout.
 class MlshMiner final : public Miner {
  public:
   explicit MlshMiner(const MlshMinerConfig& config);
@@ -51,8 +48,13 @@ class MlshMiner final : public Miner {
       HashFamily family, uint64_t seed);
 
   std::string name() const override { return "M-LSH"; }
-  Result<MiningReport> Mine(const RowStreamSource& source,
-                            double threshold) override;
+  std::string tag() const override { return "mlsh"; }
+  std::string FingerprintFields() const override;
+  Status Sketch(const RowStreamSource& source,
+                const ExecutionConfig& execution, ThreadPool* pool) override;
+  Status WriteSketch(const std::string& path) const override;
+  Status ReadSketch(const std::string& path) override;
+  Result<CandidateSet> Candidates(double threshold, ThreadPool* pool) override;
 
   const MlshMinerConfig& config() const { return config_; }
   /// Set when the miner came from FromDistribution.
@@ -63,6 +65,7 @@ class MlshMiner final : public Miner {
  private:
   MlshMinerConfig config_;
   std::optional<LshParameters> optimized_;
+  std::optional<SignatureMatrix> signatures_;
 };
 
 }  // namespace sans

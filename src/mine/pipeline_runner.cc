@@ -1,63 +1,27 @@
 #include "mine/pipeline_runner.h"
 
-#include <algorithm>
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <optional>
 #include <sstream>
 
 #include "candgen/candidate_io.h"
-#include "candgen/candidate_set.h"
-#include "candgen/hash_count.h"
-#include "candgen/row_sort.h"
-#include "matrix/table_file.h"
 #include "mine/parallel.h"
-#include "mine/verifier.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "sketch/estimators.h"
-#include "sketch/sketch_io.h"
 #include "util/crc32c.h"
 
 namespace sans {
-
-const char* PipelineAlgorithmName(PipelineAlgorithm algorithm) {
-  switch (algorithm) {
-    case PipelineAlgorithm::kMh:
-      return "mh";
-    case PipelineAlgorithm::kKmh:
-      return "kmh";
-    case PipelineAlgorithm::kMlsh:
-      return "mlsh";
-    case PipelineAlgorithm::kHlsh:
-      return "hlsh";
-  }
-  return "unknown";
-}
 
 Status PipelineConfig::Validate() const {
   if (threshold <= 0.0 || threshold > 1.0) {
     return Status::InvalidArgument("threshold must lie in (0, 1]");
   }
-  if (checkpoint_dir.empty()) {
-    return Status::InvalidArgument("checkpoint_dir must not be empty");
-  }
   SANS_RETURN_IF_ERROR(resilience.Validate());
-  SANS_RETURN_IF_ERROR(execution.Validate());
-  switch (algorithm) {
-    case PipelineAlgorithm::kMh:
-      return mh.Validate();
-    case PipelineAlgorithm::kKmh:
-      return kmh.Validate();
-    case PipelineAlgorithm::kMlsh:
-      return mlsh.Validate();
-    case PipelineAlgorithm::kHlsh:
-      return hlsh.Validate();
-  }
-  return Status::InvalidArgument("unknown pipeline algorithm");
+  return execution.Validate();
 }
 
 namespace {
@@ -66,6 +30,14 @@ namespace {
 /// names.
 enum StageIndex { kStageSignatures = 0, kStageCandidates, kStagePairs };
 constexpr const char* kStageNames[] = {"signatures", "candidates", "pairs"};
+constexpr const char* kStageFiles[] = {PipelineRunner::kSignaturesFile,
+                                       PipelineRunner::kCandidatesFile,
+                                       PipelineRunner::kPairsFile};
+/// Log wording per stage ("reusing checkpointed verified pairs").
+constexpr const char* kStageLabels[] = {"signatures", "candidates",
+                                        "verified pairs"};
+constexpr const char* kStagePhases[] = {kPhaseSignatures, kPhaseCandidates,
+                                        kPhaseVerify};
 constexpr int kNumStages = 3;
 
 struct ManifestStage {
@@ -97,12 +69,6 @@ std::string HexU64(uint64_t v) {
 std::string HexU32(uint32_t v) {
   char buf[9];
   std::snprintf(buf, sizeof(buf), "%08lx", static_cast<unsigned long>(v));
-  return buf;
-}
-
-std::string FormatDouble(double v) {
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
   return buf;
 }
 
@@ -224,77 +190,47 @@ PipelineRunner::PipelineRunner(const PipelineConfig& config)
   SANS_CHECK(config.Validate().ok());
 }
 
+
 std::string PipelineRunner::FingerprintString(
-    const RowStreamSource& source) const {
+    const Miner& miner, const RowStreamSource& source) const {
   // Every knob that can change any stage's output must appear here;
   // source shape stands in for the input identity (the checkpoint dir
   // is expected to be per-dataset). ExecutionConfig is deliberately
   // absent: outputs are bit-identical for any thread count, so a
   // checkpoint taken at one num_threads must resume at another.
-  std::string s = "v1;algorithm=";
-  s += PipelineAlgorithmName(config_.algorithm);
-  s += ";threshold=" + FormatDouble(config_.threshold);
-  s += ";rows=" + std::to_string(source.num_rows());
-  s += ";cols=" + std::to_string(source.num_cols());
-  s += ";degraded=" + std::string(config_.resilience.degraded_mode ? "1" : "0");
-  s += ";max_skipped=" + std::to_string(config_.resilience.max_skipped_rows);
-  switch (config_.algorithm) {
-    case PipelineAlgorithm::kMh:
-      s += ";k=" + std::to_string(config_.mh.min_hash.num_hashes);
-      s += ";family=" +
-           std::to_string(static_cast<int>(config_.mh.min_hash.family));
-      s += ";seed=" + std::to_string(config_.mh.min_hash.seed);
-      s += ";candgen=" +
-           std::to_string(static_cast<int>(config_.mh.candidates));
-      s += ";delta=" + FormatDouble(config_.mh.delta);
-      break;
-    case PipelineAlgorithm::kKmh:
-      s += ";k=" + std::to_string(config_.kmh.sketch.k);
-      s += ";family=" +
-           std::to_string(static_cast<int>(config_.kmh.sketch.family));
-      s += ";seed=" + std::to_string(config_.kmh.sketch.seed);
-      s += ";slack=" + FormatDouble(config_.kmh.hash_count_slack);
-      s += ";delta=" + FormatDouble(config_.kmh.delta);
-      s += ";unbiased=" + std::string(config_.kmh.unbiased_pruning ? "1" : "0");
-      break;
-    case PipelineAlgorithm::kMlsh:
-      s += ";r=" + std::to_string(config_.mlsh.lsh.rows_per_band);
-      s += ";l=" + std::to_string(config_.mlsh.lsh.num_bands);
-      s += ";sampled=" + std::string(config_.mlsh.lsh.sampled ? "1" : "0");
-      s += ";num_hashes=" + std::to_string(config_.mlsh.num_hashes);
-      s += ";family=" +
-           std::to_string(static_cast<int>(config_.mlsh.family));
-      s += ";seed=" + std::to_string(config_.mlsh.seed);
-      break;
-    case PipelineAlgorithm::kHlsh:
-      s += ";r=" + std::to_string(config_.hlsh.lsh.rows_per_run);
-      s += ";runs=" + std::to_string(config_.hlsh.lsh.num_runs);
-      s += ";band=" + std::to_string(config_.hlsh.lsh.density_band);
-      s += ";min_rows=" + std::to_string(config_.hlsh.lsh.min_rows);
-      s += ";max_levels=" + std::to_string(config_.hlsh.lsh.max_levels);
-      s += ";skip_zero=" +
-           std::string(config_.hlsh.lsh.skip_zero_keys ? "1" : "0");
-      s += ";seed=" + std::to_string(config_.hlsh.lsh.seed);
-      break;
-  }
-  return s;
+  return "v1;algorithm=" + miner.tag() +
+         ";threshold=" + FingerprintDouble(config_.threshold) +
+         ";rows=" + std::to_string(source.num_rows()) +
+         ";cols=" + std::to_string(source.num_cols()) +
+         ";degraded=" + (config_.resilience.degraded_mode ? "1" : "0") +
+         ";max_skipped=" + std::to_string(config_.resilience.max_skipped_rows) +
+         miner.FingerprintFields();
 }
 
 Result<PipelineRunSummary> PipelineRunner::Run(
-    const RowStreamSource& source) const {
+    Miner& miner, const RowStreamSource& source) const {
   SANS_RETURN_IF_ERROR(config_.Validate());
-  std::error_code ec;
-  std::filesystem::create_directories(config_.checkpoint_dir, ec);
-  if (ec) {
-    return Status::IOError("cannot create checkpoint dir " +
-                           config_.checkpoint_dir + ": " + ec.message());
-  }
+  const bool persist = !config_.checkpoint_dir.empty();
   const std::string dir = config_.checkpoint_dir + "/";
   const std::string manifest_path = dir + kManifestFile;
+  if (persist) {
+    std::error_code ec;
+    std::filesystem::create_directories(config_.checkpoint_dir, ec);
+    if (ec) {
+      return Status::IOError("cannot create checkpoint dir " +
+                             config_.checkpoint_dir + ": " + ec.message());
+    }
+  }
 
   PipelineRunSummary summary;
   ResilienceStats stats;
   const ResilientSource resilient(&source, config_.resilience, &stats);
+  // With one attempt and no degraded mode the wrapper would only pass
+  // rows through, so the scans read `source` itself.
+  const bool wrap = config_.resilience.retry.max_attempts > 1 ||
+                    config_.resilience.degraded_mode;
+  const RowStreamSource& scan =
+      wrap ? static_cast<const RowStreamSource&>(resilient) : source;
   // One pool shared by all stages (null => sequential reference path).
   const std::unique_ptr<ThreadPool> pool = MaybeCreatePool(config_.execution);
 
@@ -306,14 +242,14 @@ Result<PipelineRunSummary> PipelineRunner::Run(
   const int root_span = trace.StartSpan("run", -1);
 
   Manifest out;
-  out.fingerprint = HexU64(Fnv1a64(FingerprintString(source)));
+  out.fingerprint = HexU64(Fnv1a64(FingerprintString(miner, source)));
 
   // Checkpoints recorded by a previous run, if any are trustworthy.
   Manifest prior;
   // Breaks at the first stage that fails validation: later artifacts
   // may exist but were derived from state this run will recompute.
   bool reuse_chain = false;
-  if (config_.resume) {
+  if (persist && config_.resume) {
     Result<Manifest> loaded = LoadManifest(manifest_path);
     if (!loaded.ok()) {
       summary.log.push_back("[pipeline] starting clean (" +
@@ -345,218 +281,97 @@ Result<PipelineRunSummary> PipelineRunner::Run(
     }
     return path;
   };
-  // Persists the manifest after a completed stage.
-  const auto commit_stage = [&](int index, const char* file) -> Status {
-    SANS_ASSIGN_OR_RETURN(const uint32_t crc, Crc32cOfFile(dir + file));
-    out.stages[index] = ManifestStage{file, crc};
-    return WriteManifest(manifest_path, PipelineAlgorithmName(config_.algorithm),
-                         out);
-  };
 
-  // ---- Stage 1: signatures (one resilient pass over the table). ----
-  // The artifact type depends on the scheme: signature matrix (mh,
-  // mlsh), bottom-k sketch (kmh), or the materialized table (hlsh).
-  std::optional<SignatureMatrix> signatures;
-  std::optional<KMinHashSketch> sketch;
-  std::optional<BinaryMatrix> table;
-  const std::string signatures_path = dir + kSignaturesFile;
-
-  if (const auto artifact = stage_artifact(kStageSignatures)) {
-    switch (config_.algorithm) {
-      case PipelineAlgorithm::kMh:
-      case PipelineAlgorithm::kMlsh: {
-        Result<SignatureMatrix> loaded = ReadSignatureMatrix(*artifact);
-        if (loaded.ok()) signatures = std::move(loaded).value();
-        break;
+  // Runs one stage: reloads its checkpoint while the reuse chain
+  // holds, else computes it (timed and traced) and, with a checkpoint
+  // directory, persists it and commits the manifest. Returns whether
+  // the stage was reused.
+  using ArtifactIo = std::function<Status(const std::string& path)>;
+  const auto run_stage = [&](int index, const ArtifactIo& load,
+                             const std::function<Status()>& compute,
+                             const ArtifactIo& save) -> Result<bool> {
+    const std::string label = kStageLabels[index];
+    if (const auto artifact = stage_artifact(index)) {
+      const Status loaded = load(*artifact);
+      if (loaded.ok()) {
+        summary.log.push_back("[pipeline] reusing checkpointed " + label);
+        out.stages[index] = prior.stages[index];
+        return true;
       }
-      case PipelineAlgorithm::kKmh: {
-        Result<KMinHashSketch> loaded = ReadKMinHashSketch(*artifact);
-        if (loaded.ok()) sketch = std::move(loaded).value();
-        break;
-      }
-      case PipelineAlgorithm::kHlsh: {
-        Result<BinaryMatrix> loaded = ReadTableFile(*artifact);
-        if (loaded.ok()) table = std::move(loaded).value();
-        break;
-      }
+      summary.log.push_back("[pipeline] " + label +
+                            " artifact failed to load; recomputing (" +
+                            loaded.ToString() + ")");
     }
-    if (signatures.has_value() || sketch.has_value() || table.has_value()) {
-      summary.reused_signatures = true;
-      summary.log.push_back("[pipeline] reusing checkpointed signatures");
-      out.stages[kStageSignatures] = prior.stages[kStageSignatures];
-    } else {
-      summary.log.push_back(
-          "[pipeline] signatures artifact failed to load; recomputing");
-    }
-  }
-  if (!summary.reused_signatures) {
     reuse_chain = false;
     {
-      ScopedPhase phase(&summary.report.timers, kPhaseSignatures);
-      TraceSpan span(&trace, kPhaseSignatures, root_span);
-      switch (config_.algorithm) {
-        case PipelineAlgorithm::kMh: {
-          SANS_ASSIGN_OR_RETURN(
-              signatures,
-              ComputeMinHashParallel(resilient, config_.mh.min_hash,
-                                     config_.execution, pool.get()));
-          break;
-        }
-        case PipelineAlgorithm::kMlsh: {
-          MinHashConfig mh_config;
-          mh_config.num_hashes =
-              config_.mlsh.lsh.sampled
-                  ? config_.mlsh.num_hashes
-                  : config_.mlsh.lsh.rows_per_band * config_.mlsh.lsh.num_bands;
-          mh_config.family = config_.mlsh.family;
-          mh_config.seed = config_.mlsh.seed;
-          SANS_ASSIGN_OR_RETURN(
-              signatures, ComputeMinHashParallel(resilient, mh_config,
-                                                 config_.execution, pool.get()));
-          break;
-        }
-        case PipelineAlgorithm::kKmh: {
-          SANS_ASSIGN_OR_RETURN(
-              sketch, ComputeKMinHashParallel(resilient, config_.kmh.sketch,
-                                              config_.execution, pool.get()));
-          break;
-        }
-        case PipelineAlgorithm::kHlsh: {
-          // H-LSH materializes the table (random access in phase 2).
-          SANS_ASSIGN_OR_RETURN(std::unique_ptr<RowStream> stream,
-                                resilient.Open());
-          SANS_ASSIGN_OR_RETURN(table, MaterializeStream(stream.get()));
-          break;
-        }
-      }
+      ScopedPhase phase(&summary.report.timers, kStagePhases[index]);
+      TraceSpan span(&trace, kStagePhases[index], root_span);
+      SANS_RETURN_IF_ERROR(compute());
     }
-    TraceSpan span(&trace, "checkpoint-signatures", root_span);
-    if (signatures.has_value()) {
-      SANS_RETURN_IF_ERROR(WriteSignatureMatrix(*signatures, signatures_path));
-    } else if (sketch.has_value()) {
-      SANS_RETURN_IF_ERROR(WriteKMinHashSketch(*sketch, signatures_path));
-    } else {
-      SANS_RETURN_IF_ERROR(WriteTableFile(*table, signatures_path));
+    if (persist) {
+      TraceSpan span(&trace, std::string("checkpoint-") + kStageNames[index],
+                     root_span);
+      SANS_RETURN_IF_ERROR(save(dir + kStageFiles[index]));
+      SANS_ASSIGN_OR_RETURN(const uint32_t crc,
+                            Crc32cOfFile(dir + kStageFiles[index]));
+      out.stages[index] = ManifestStage{kStageFiles[index], crc};
+      SANS_RETURN_IF_ERROR(WriteManifest(manifest_path, miner.tag(), out));
+      summary.log.push_back("[pipeline] " + label +
+                            " computed and checkpointed");
     }
-    SANS_RETURN_IF_ERROR(commit_stage(kStageSignatures, kSignaturesFile));
-    summary.log.push_back("[pipeline] signatures computed and checkpointed");
-  }
+    return false;
+  };
+
+  // ---- Stage 1: the miner's phase-1 artifact (one table scan). ----
+  SANS_ASSIGN_OR_RETURN(
+      summary.reused_signatures,
+      run_stage(
+          kStageSignatures,
+          [&](const std::string& path) { return miner.ReadSketch(path); },
+          [&] { return miner.Sketch(scan, config_.execution, pool.get()); },
+          [&](const std::string& path) { return miner.WriteSketch(path); }));
 
   // ---- Stage 2: candidate generation (main memory). ----
   CandidateSet candidates;
-  const std::string candidates_path = dir + kCandidatesFile;
-
-  if (const auto artifact = stage_artifact(kStageCandidates)) {
-    Result<CandidateSet> loaded = ReadCandidateSet(*artifact);
-    if (loaded.ok()) {
-      candidates = std::move(loaded).value();
-      summary.reused_candidates = true;
-      summary.log.push_back("[pipeline] reusing checkpointed candidates");
-      out.stages[kStageCandidates] = prior.stages[kStageCandidates];
-    } else {
-      summary.log.push_back(
-          "[pipeline] candidates artifact failed to load; recomputing (" +
-          loaded.status().ToString() + ")");
-    }
-  }
-  if (!summary.reused_candidates) {
-    reuse_chain = false;
-    {
-      ScopedPhase phase(&summary.report.timers, kPhaseCandidates);
-      TraceSpan span(&trace, kPhaseCandidates, root_span);
-      switch (config_.algorithm) {
-        case PipelineAlgorithm::kMh: {
-          const int k = config_.mh.min_hash.num_hashes;
-          const int min_agreements = std::max(
-              1, static_cast<int>(
-                     std::ceil((1.0 - config_.mh.delta) * config_.threshold *
-                               k)));
-          switch (config_.mh.candidates) {
-            case MhCandidateAlgorithm::kRowSort: {
-              RowSorter sorter(&*signatures);
-              candidates = sorter.Candidates(min_agreements);
-              break;
-            }
-            case MhCandidateAlgorithm::kHashCount:
-              SANS_ASSIGN_OR_RETURN(
-                  candidates, HashCountMinHashParallel(
-                                  *signatures, min_agreements, pool.get()));
-              break;
-          }
-          break;
-        }
-        case PipelineAlgorithm::kKmh: {
-          SANS_ASSIGN_OR_RETURN(
-              const CandidateSet filtered,
-              HashCountKMinHashAdaptiveParallel(
-                  *sketch, config_.kmh.hash_count_slack * config_.threshold,
-                  pool.get()));
-          const double prune_floor =
-              (1.0 - config_.kmh.delta) * config_.threshold;
-          for (const auto& [pair, count] : filtered) {
-            if (config_.kmh.unbiased_pruning) {
-              const double estimate = EstimateSimilarityUnbiased(
-                  sketch->Signature(pair.first),
-                  sketch->Signature(pair.second), config_.kmh.sketch.k);
-              if (estimate < prune_floor) continue;
-            }
-            candidates.Add(pair, count);
-          }
-          break;
-        }
-        case PipelineAlgorithm::kMlsh: {
-          MinLshConfig lsh = config_.mlsh.lsh;
-          lsh.seed = config_.mlsh.seed;
-          MinLshCandidateGenerator generator(lsh);
-          SANS_ASSIGN_OR_RETURN(candidates,
-                                generator.Generate(*signatures, pool.get()));
-          break;
-        }
-        case PipelineAlgorithm::kHlsh: {
-          HammingLshCandidateGenerator generator(config_.hlsh.lsh);
-          candidates = generator.Generate(*table);
-          break;
-        }
-      }
-    }
-    TraceSpan span(&trace, "checkpoint-candidates", root_span);
-    SANS_RETURN_IF_ERROR(WriteCandidateSet(candidates, candidates_path));
-    SANS_RETURN_IF_ERROR(commit_stage(kStageCandidates, kCandidatesFile));
-    summary.log.push_back("[pipeline] candidates computed and checkpointed");
-  }
+  SANS_ASSIGN_OR_RETURN(
+      summary.reused_candidates,
+      run_stage(
+          kStageCandidates,
+          [&](const std::string& path) -> Status {
+            SANS_ASSIGN_OR_RETURN(candidates, ReadCandidateSet(path));
+            return Status::OK();
+          },
+          [&]() -> Status {
+            SANS_ASSIGN_OR_RETURN(
+                candidates, miner.Candidates(config_.threshold, pool.get()));
+            return Status::OK();
+          },
+          [&](const std::string& path) {
+            return WriteCandidateSet(candidates, path);
+          }));
   summary.report.candidates = candidates.SortedPairs();
   summary.report.num_candidates = summary.report.candidates.size();
 
-  // ---- Stage 3: exact verification (second resilient pass). ----
-  const std::string pairs_path = dir + kPairsFile;
-
-  if (const auto artifact = stage_artifact(kStagePairs)) {
-    Result<std::vector<SimilarPair>> loaded = ReadSimilarPairs(*artifact);
-    if (loaded.ok()) {
-      summary.report.pairs = std::move(loaded).value();
-      summary.reused_pairs = true;
-      summary.log.push_back("[pipeline] reusing checkpointed verified pairs");
-      out.stages[kStagePairs] = prior.stages[kStagePairs];
-    } else {
-      summary.log.push_back(
-          "[pipeline] pairs artifact failed to load; recomputing (" +
-          loaded.status().ToString() + ")");
-    }
-  }
-  if (!summary.reused_pairs) {
-    {
-      ScopedPhase phase(&summary.report.timers, kPhaseVerify);
-      TraceSpan span(&trace, kPhaseVerify, root_span);
-      SANS_ASSIGN_OR_RETURN(
-          summary.report.pairs,
-          VerifyCandidatesParallel(resilient, summary.report.candidates,
-                                   config_.threshold, config_.execution,
-                                   pool.get()));
-    }
-    SANS_RETURN_IF_ERROR(WriteSimilarPairs(summary.report.pairs, pairs_path));
-    SANS_RETURN_IF_ERROR(commit_stage(kStagePairs, kPairsFile));
-    summary.log.push_back("[pipeline] verified pairs checkpointed");
-  }
+  // ---- Stage 3: exact verification (second table scan). ----
+  std::vector<SimilarPair>& pairs = summary.report.pairs;
+  SANS_ASSIGN_OR_RETURN(
+      summary.reused_pairs,
+      run_stage(
+          kStagePairs,
+          [&](const std::string& path) -> Status {
+            SANS_ASSIGN_OR_RETURN(pairs, ReadSimilarPairs(path));
+            return Status::OK();
+          },
+          [&]() -> Status {
+            SANS_ASSIGN_OR_RETURN(
+                pairs, VerifyCandidatesParallel(
+                           scan, summary.report.candidates, config_.threshold,
+                           config_.execution, pool.get()));
+            return Status::OK();
+          },
+          [&](const std::string& path) {
+            return WriteSimilarPairs(pairs, path);
+          }));
 
   summary.stream_reopens = stats.reopens.load();
   summary.open_failures = stats.open_failures.load();
@@ -572,7 +387,7 @@ Result<PipelineRunSummary> PipelineRunner::Run(
   trace.EndSpan(root_span);
   const MetricsSnapshot metrics_after = MetricsRegistry::Global().Snapshot();
   RunReport& report = summary.run_report;
-  report.algorithm = PipelineAlgorithmName(config_.algorithm);
+  report.algorithm = miner.tag();
   report.threshold = config_.threshold;
   report.table_rows = source.num_rows();
   report.table_cols = source.num_cols();

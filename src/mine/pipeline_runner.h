@@ -1,16 +1,20 @@
-// Checkpointed, fault-tolerant driver for the three-phase mining
-// pipeline. Each phase (signatures -> candidates -> verify) runs as an
-// explicit stage that persists its artifact into a checkpoint
-// directory together with a manifest recording the configuration
-// fingerprint and a CRC32C per artifact. A run restarted with
-// resume = true validates the manifest and reuses every completed
-// stage whose artifact still checks out, so a mining job killed after
-// the expensive signature scan does not pay for it twice.
+// The one driver of the three-phase mining pipeline. Each phase
+// (signatures -> candidates -> verify) runs as an explicit stage; the
+// miner (mine/miner.h) supplies the two algorithm-specific stages and
+// verification is shared. With a checkpoint directory, every stage
+// persists its artifact there together with a manifest recording the
+// configuration fingerprint and a CRC32C per artifact, and a run
+// restarted with resume = true validates the manifest and reuses every
+// completed stage whose artifact still checks out, so a mining job
+// killed after the expensive signature scan does not pay for it twice.
+// Without one, nothing is written: Miner::Mine is this runner with an
+// empty checkpoint_dir.
 //
-// The table scans (phase 1 and phase 3) go through ResilientSource,
-// so transient I/O faults are retried and — in opt-in degraded mode —
-// unreadable rows are skipped against a budget, with all fault
-// counters surfaced in the run summary.
+// The table scans (phase 1 and phase 3) go through ResilientSource
+// whenever it has work to do (retries or degraded mode), so transient
+// I/O faults are retried and — in opt-in degraded mode — unreadable
+// rows are skipped against a budget, with all fault counters surfaced
+// in the run summary.
 //
 // Reuse is all-or-nothing per prefix: a stage is only reloaded when
 // every stage before it was reloaded too, which keeps a resumed run
@@ -26,36 +30,21 @@
 
 #include "matrix/resilient_row_stream.h"
 #include "matrix/row_stream.h"
-#include "obs/run_report.h"
-#include "mine/hlsh_miner.h"
-#include "mine/kmh_miner.h"
-#include "mine/mh_miner.h"
 #include "mine/miner.h"
-#include "mine/mlsh_miner.h"
+#include "obs/run_report.h"
 #include "util/status.h"
 #include "util/thread_pool.h"
 
 namespace sans {
 
-/// Which of the paper's four schemes the pipeline drives.
-enum class PipelineAlgorithm { kMh, kKmh, kMlsh, kHlsh };
-
-/// Short lower-case tag ("mh", "kmh", "mlsh", "hlsh").
-const char* PipelineAlgorithmName(PipelineAlgorithm algorithm);
-
-/// Configuration of a checkpointed pipeline run. Exactly one of the
-/// per-algorithm configs is consulted, selected by `algorithm`.
+/// Configuration of a pipeline run. The algorithm and its parameters
+/// are the miner handed to Run().
 struct PipelineConfig {
-  PipelineAlgorithm algorithm = PipelineAlgorithm::kMlsh;
   /// Similarity threshold s* of the query.
   double threshold = 0.5;
 
-  MhMinerConfig mh;
-  KmhMinerConfig kmh;
-  MlshMinerConfig mlsh;
-  HlshMinerConfig hlsh;
-
   /// Directory artifacts and the manifest live in (created if absent).
+  /// Empty: nothing is persisted and nothing is resumed.
   std::string checkpoint_dir;
   /// When true, completed stages found in checkpoint_dir are validated
   /// and reused; when false, the run starts clean (existing artifacts
@@ -65,10 +54,10 @@ struct PipelineConfig {
   /// Fault tolerance for the two table scans.
   ResilienceOptions resilience;
 
-  /// Parallel execution knobs shared by all stages. Deliberately
-  /// excluded from the checkpoint fingerprint: outputs are
-  /// bit-identical for any num_threads, so a run checkpointed at one
-  /// thread count may resume at another.
+  /// Parallel execution knobs shared by all stages; the run's only
+  /// ExecutionConfig. Deliberately excluded from the checkpoint
+  /// fingerprint: outputs are bit-identical for any num_threads, so a
+  /// run checkpointed at one thread count may resume at another.
   ExecutionConfig execution;
 
   /// When non-empty, the structured JSON run report is written here at
@@ -106,14 +95,14 @@ struct PipelineRunSummary {
   RunReport run_report;
 };
 
-/// Drives one checkpointed mining run. Stateless apart from the
-/// config; Run() may be called repeatedly (e.g. resume attempts).
+/// Drives one mining run. Stateless apart from the config; Run() may
+/// be called repeatedly (e.g. resume attempts).
 class PipelineRunner {
  public:
   /// Artifact file names inside checkpoint_dir. The signature artifact
-  /// holds whatever phase 1 produces for the configured algorithm: a
-  /// signature matrix (mh, mlsh), a bottom-k sketch (kmh), or the
-  /// materialized table (hlsh).
+  /// holds whatever the miner's phase 1 produces: a signature matrix
+  /// (mh, mlsh), a bottom-k sketch (kmh), or the materialized table
+  /// (hlsh).
   static constexpr const char* kManifestFile = "MANIFEST.json";
   static constexpr const char* kSignaturesFile = "signatures.bin";
   static constexpr const char* kCandidatesFile = "candidates.bin";
@@ -121,13 +110,15 @@ class PipelineRunner {
 
   explicit PipelineRunner(const PipelineConfig& config);
 
-  /// Runs (or resumes) the pipeline over `source`.
-  Result<PipelineRunSummary> Run(const RowStreamSource& source) const;
+  /// Runs (or resumes) `miner`'s pipeline over `source`.
+  Result<PipelineRunSummary> Run(Miner& miner,
+                                 const RowStreamSource& source) const;
 
   /// Canonical string covering every output-determining knob plus the
-  /// source shape; its hash is the manifest fingerprint. Exposed for
-  /// tests.
-  std::string FingerprintString(const RowStreamSource& source) const;
+  /// source shape: the common fields, then the miner's. Its hash is
+  /// the manifest fingerprint. Exposed for tests.
+  std::string FingerprintString(const Miner& miner,
+                                const RowStreamSource& source) const;
 
   const PipelineConfig& config() const { return config_; }
 

@@ -21,11 +21,27 @@ echo "== stats =="
 grep -q 'rows: 4000' stats.out
 grep -q 'cols: 1200' stats.out
 
-echo "== mine (each algorithm) =="
+echo "== mine (each algorithm, plain / checkpointed / resumed) =="
+# One code path: a plain run, a --checkpoint-dir run and a full
+# --resume of it must print the same pairs (the '#' header embeds
+# wall-clock timings, so compare pairs only).
 for algo in mh kmh mlsh hlsh auto; do
   "$SANS_BIN" mine --in corpus.sans --algorithm "$algo" \
       --threshold 0.6 --seed 5 > "mine_$algo.out"
   head -1 "mine_$algo.out" | grep -q 'pairs'
+  "$SANS_BIN" mine --in corpus.sans --algorithm "$algo" \
+      --threshold 0.6 --seed 5 --checkpoint-dir "ck_$algo" \
+      > "mine_ck_$algo.out" 2> /dev/null
+  "$SANS_BIN" mine --in corpus.sans --algorithm "$algo" \
+      --threshold 0.6 --seed 5 --checkpoint-dir "ck_$algo" --resume \
+      > "mine_resume_$algo.out" 2> "mine_resume_$algo.err"
+  for stage in signatures candidates 'verified pairs'; do
+    grep -q "reusing checkpointed $stage" "mine_resume_$algo.err"
+  done
+  # sed, not grep -v: a run may find no pairs at all.
+  sed '/^#/d' "mine_$algo.out" > "plain_$algo.txt"
+  sed '/^#/d' "mine_ck_$algo.out" | diff "plain_$algo.txt" -
+  sed '/^#/d' "mine_resume_$algo.out" | diff "plain_$algo.txt" -
 done
 # MH with generous k is the reference; kmh must agree on the pair set.
 tail -n +2 mine_mh.out | cut -f1,2 | sort > mh_pairs.txt
@@ -40,6 +56,8 @@ grep -q '"rows_scanned"' report.json
 grep -q '"phases"' report.json
 grep -q '"1-signatures"' report.json
 grep -q '"candidates_generated"' report.json
+# Every run, checkpointed or not, carries its span trace.
+grep -q '{"name":"run"' report.json
 # The CLI prints the phase table alongside the pairs.
 grep -q '^total' mine_report.err
 grep -q 'rows scanned:' mine_report.err

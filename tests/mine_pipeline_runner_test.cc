@@ -9,6 +9,10 @@
 #include "candgen/candidate_io.h"
 #include "data/synthetic_generator.h"
 #include "matrix/row_stream.h"
+#include "mine/hlsh_miner.h"
+#include "mine/kmh_miner.h"
+#include "mine/mh_miner.h"
+#include "mine/mlsh_miner.h"
 
 namespace sans {
 namespace {
@@ -45,15 +49,47 @@ BinaryMatrix TestMatrix() {
   return std::move(d->matrix);
 }
 
-PipelineConfig MlshConfig(const std::string& dir) {
+PipelineConfig Config(const std::string& dir) {
   PipelineConfig config;
-  config.algorithm = PipelineAlgorithm::kMlsh;
   config.threshold = 0.6;
-  config.mlsh.lsh.rows_per_band = 4;
-  config.mlsh.lsh.num_bands = 8;
-  config.mlsh.seed = 5;
   config.checkpoint_dir = dir;
   return config;
+}
+
+/// The four algorithms, as their manifest tags.
+constexpr const char* kAlgorithms[] = {"mh", "kmh", "mlsh", "hlsh"};
+
+/// A small miner per algorithm, keyed by its manifest tag.
+std::unique_ptr<Miner> TestMiner(const std::string& tag) {
+  if (tag == "mh") {
+    MhMinerConfig config;
+    config.min_hash.num_hashes = 24;
+    config.min_hash.seed = 3;
+    return std::make_unique<MhMiner>(config);
+  }
+  if (tag == "kmh") {
+    KmhMinerConfig config;
+    config.sketch.k = 24;
+    config.sketch.seed = 3;
+    return std::make_unique<KmhMiner>(config);
+  }
+  if (tag == "mlsh") {
+    MlshMinerConfig config;
+    config.lsh.rows_per_band = 4;
+    config.lsh.num_bands = 8;
+    config.seed = 5;
+    return std::make_unique<MlshMiner>(config);
+  }
+  HlshMinerConfig config;
+  config.lsh.rows_per_run = 8;
+  config.lsh.num_runs = 4;
+  config.lsh.seed = 3;
+  return std::make_unique<HlshMiner>(config);
+}
+
+Result<PipelineRunSummary> RunMlsh(const PipelineConfig& config,
+                                   const RowStreamSource& source) {
+  return PipelineRunner(config).Run(*TestMiner("mlsh"), source);
 }
 
 void ExpectSameReport(const MiningReport& a, const MiningReport& b) {
@@ -66,35 +102,42 @@ void ExpectSameReport(const MiningReport& a, const MiningReport& b) {
 }
 
 TEST_F(PipelineRunnerTest, ValidateCatchesBadConfig) {
-  PipelineConfig config = MlshConfig(Dir());
+  PipelineConfig config = Config(Dir());
   EXPECT_TRUE(config.Validate().ok());
   config.threshold = 1.5;
   EXPECT_FALSE(config.Validate().ok());
-  config = MlshConfig("");
-  EXPECT_FALSE(config.Validate().ok());
-  config = MlshConfig(Dir());
+  config = Config("");  // no checkpoint directory: nothing persisted
+  EXPECT_TRUE(config.Validate().ok());
+  config = Config(Dir());
   config.resilience.degraded_mode = true;  // budget still 0
   EXPECT_FALSE(config.Validate().ok());
+}
+
+/// Miner::Mine run in an empty working directory, which must stay
+/// empty: with no checkpoint directory nothing is persisted.
+Result<MiningReport> MineWithoutFiles(Miner& miner,
+                                      const RowStreamSource& source,
+                                      const std::string& cwd) {
+  std::filesystem::create_directories(cwd);
+  const std::filesystem::path previous = std::filesystem::current_path();
+  std::filesystem::current_path(cwd);
+  Result<MiningReport> report = miner.Mine(source, 0.6);
+  std::filesystem::current_path(previous);
+  EXPECT_TRUE(std::filesystem::is_empty(cwd)) << miner.tag();
+  return report;
 }
 
 TEST_F(PipelineRunnerTest, CleanRunMatchesDirectMiner) {
   const BinaryMatrix m = TestMatrix();
   InMemorySource source(&m);
-  const PipelineConfig config = MlshConfig(Dir());
 
-  PipelineRunner runner(config);
-  auto summary = runner.Run(source);
+  auto summary = RunMlsh(Config(Path("ckpt")), source);
   ASSERT_TRUE(summary.ok());
   EXPECT_FALSE(summary->reused_signatures);
   EXPECT_FALSE(summary->reused_candidates);
   EXPECT_FALSE(summary->reused_pairs);
 
-  MlshMinerConfig direct;
-  direct.lsh.rows_per_band = 4;
-  direct.lsh.num_bands = 8;
-  direct.seed = 5;
-  MlshMiner miner(direct);
-  auto report = miner.Mine(source, 0.6);
+  auto report = MineWithoutFiles(*TestMiner("mlsh"), source, Path("cwd"));
   ASSERT_TRUE(report.ok());
   ExpectSameReport(summary->report, *report);
   EXPECT_GT(summary->report.pairs.size(), 0u);
@@ -103,11 +146,10 @@ TEST_F(PipelineRunnerTest, CleanRunMatchesDirectMiner) {
 TEST_F(PipelineRunnerTest, RunReportCapturesPhasesAndCounts) {
   const BinaryMatrix m = TestMatrix();
   InMemorySource source(&m);
-  PipelineConfig config = MlshConfig(Dir());
+  PipelineConfig config = Config(Dir());
   config.run_report_path = Path("report.json");
 
-  PipelineRunner runner(config);
-  auto summary = runner.Run(source);
+  auto summary = RunMlsh(config, source);
   ASSERT_TRUE(summary.ok());
 
   const RunReport& report = summary->run_report;
@@ -143,15 +185,13 @@ TEST_F(PipelineRunnerTest, RunReportCapturesPhasesAndCounts) {
 TEST_F(PipelineRunnerTest, FullResumeReusesEveryStage) {
   const BinaryMatrix m = TestMatrix();
   InMemorySource source(&m);
-  PipelineConfig config = MlshConfig(Dir());
+  PipelineConfig config = Config(Dir());
 
-  PipelineRunner runner(config);
-  auto first = runner.Run(source);
+  auto first = RunMlsh(config, source);
   ASSERT_TRUE(first.ok());
 
   config.resume = true;
-  PipelineRunner resumed(config);
-  auto second = resumed.Run(source);
+  auto second = RunMlsh(config, source);
   ASSERT_TRUE(second.ok());
   EXPECT_TRUE(second->reused_signatures);
   EXPECT_TRUE(second->reused_candidates);
@@ -162,18 +202,16 @@ TEST_F(PipelineRunnerTest, FullResumeReusesEveryStage) {
 TEST_F(PipelineRunnerTest, ResumeAfterLostPairsReusesEarlierStages) {
   const BinaryMatrix m = TestMatrix();
   InMemorySource source(&m);
-  PipelineConfig config = MlshConfig(Dir());
+  PipelineConfig config = Config(Dir());
 
-  PipelineRunner runner(config);
-  auto first = runner.Run(source);
+  auto first = RunMlsh(config, source);
   ASSERT_TRUE(first.ok());
 
   // Simulate a crash after phase 2: the verification artifact is gone.
   std::filesystem::remove(Path(PipelineRunner::kPairsFile));
 
   config.resume = true;
-  PipelineRunner resumed(config);
-  auto second = resumed.Run(source);
+  auto second = RunMlsh(config, source);
   ASSERT_TRUE(second.ok());
   EXPECT_TRUE(second->reused_signatures);
   EXPECT_TRUE(second->reused_candidates);
@@ -184,10 +222,9 @@ TEST_F(PipelineRunnerTest, ResumeAfterLostPairsReusesEarlierStages) {
 TEST_F(PipelineRunnerTest, CorruptSignatureArtifactIsRecomputed) {
   const BinaryMatrix m = TestMatrix();
   InMemorySource source(&m);
-  PipelineConfig config = MlshConfig(Dir());
+  PipelineConfig config = Config(Dir());
 
-  PipelineRunner runner(config);
-  auto first = runner.Run(source);
+  auto first = RunMlsh(config, source);
   ASSERT_TRUE(first.ok());
 
   {
@@ -204,8 +241,7 @@ TEST_F(PipelineRunnerTest, CorruptSignatureArtifactIsRecomputed) {
   }
 
   config.resume = true;
-  PipelineRunner resumed(config);
-  auto second = resumed.Run(source);
+  auto second = RunMlsh(config, source);
   ASSERT_TRUE(second.ok());
   EXPECT_FALSE(second->reused_signatures);
   ExpectSameReport(second->report, first->report);
@@ -214,15 +250,13 @@ TEST_F(PipelineRunnerTest, CorruptSignatureArtifactIsRecomputed) {
 TEST_F(PipelineRunnerTest, ChangedConfigInvalidatesCheckpoints) {
   const BinaryMatrix m = TestMatrix();
   InMemorySource source(&m);
-  PipelineConfig config = MlshConfig(Dir());
+  PipelineConfig config = Config(Dir());
 
-  PipelineRunner runner(config);
-  ASSERT_TRUE(runner.Run(source).ok());
+  ASSERT_TRUE(RunMlsh(config, source).ok());
 
   config.resume = true;
   config.threshold = 0.7;  // fingerprint changes
-  PipelineRunner resumed(config);
-  auto second = resumed.Run(source);
+  auto second = RunMlsh(config, source);
   ASSERT_TRUE(second.ok());
   EXPECT_FALSE(second->reused_signatures);
   EXPECT_FALSE(second->reused_candidates);
@@ -232,63 +266,25 @@ TEST_F(PipelineRunnerTest, ChangedConfigInvalidatesCheckpoints) {
 TEST_F(PipelineRunnerTest, ResumeWithoutCheckpointsStartsClean) {
   const BinaryMatrix m = TestMatrix();
   InMemorySource source(&m);
-  PipelineConfig config = MlshConfig(Dir());
+  PipelineConfig config = Config(Dir());
   config.resume = true;  // nothing checkpointed yet
-  PipelineRunner runner(config);
-  auto summary = runner.Run(source);
+  auto summary = RunMlsh(config, source);
   ASSERT_TRUE(summary.ok());
   EXPECT_FALSE(summary->reused_signatures);
   EXPECT_GT(summary->report.pairs.size(), 0u);
 }
 
 TEST_F(PipelineRunnerTest, EveryAlgorithmMatchesItsMiner) {
+  // Miner::Mine is the runner without a checkpoint directory: same
+  // report as a checkpointed run, and no files.
   const BinaryMatrix m = TestMatrix();
   InMemorySource source(&m);
-
-  {
-    PipelineConfig config;
-    config.algorithm = PipelineAlgorithm::kMh;
-    config.threshold = 0.6;
-    config.mh.min_hash.num_hashes = 24;
-    config.mh.min_hash.seed = 3;
-    config.checkpoint_dir = Path("mh");
-    PipelineRunner runner(config);
-    auto summary = runner.Run(source);
-    ASSERT_TRUE(summary.ok());
-    MhMiner miner(config.mh);
-    auto report = miner.Mine(source, 0.6);
-    ASSERT_TRUE(report.ok());
-    ExpectSameReport(summary->report, *report);
-  }
-  {
-    PipelineConfig config;
-    config.algorithm = PipelineAlgorithm::kKmh;
-    config.threshold = 0.6;
-    config.kmh.sketch.k = 24;
-    config.kmh.sketch.seed = 3;
-    config.checkpoint_dir = Path("kmh");
-    PipelineRunner runner(config);
-    auto summary = runner.Run(source);
-    ASSERT_TRUE(summary.ok());
-    KmhMiner miner(config.kmh);
-    auto report = miner.Mine(source, 0.6);
-    ASSERT_TRUE(report.ok());
-    ExpectSameReport(summary->report, *report);
-  }
-  {
-    PipelineConfig config;
-    config.algorithm = PipelineAlgorithm::kHlsh;
-    config.threshold = 0.6;
-    config.hlsh.lsh.rows_per_run = 8;
-    config.hlsh.lsh.num_runs = 4;
-    config.hlsh.lsh.seed = 3;
-    config.checkpoint_dir = Path("hlsh");
-    PipelineRunner runner(config);
-    auto summary = runner.Run(source);
-    ASSERT_TRUE(summary.ok());
-    HlshMiner miner(config.hlsh);
-    auto report = miner.Mine(source, 0.6);
-    ASSERT_TRUE(report.ok());
+  for (const std::string tag : kAlgorithms) {
+    auto summary =
+        PipelineRunner(Config(Path(tag))).Run(*TestMiner(tag), source);
+    ASSERT_TRUE(summary.ok()) << tag;
+    auto report = MineWithoutFiles(*TestMiner(tag), source, Path(tag + "_cwd"));
+    ASSERT_TRUE(report.ok()) << tag;
     ExpectSameReport(summary->report, *report);
   }
 }
@@ -296,28 +292,17 @@ TEST_F(PipelineRunnerTest, EveryAlgorithmMatchesItsMiner) {
 TEST_F(PipelineRunnerTest, ResumeIsBitIdenticalForEveryAlgorithm) {
   const BinaryMatrix m = TestMatrix();
   InMemorySource source(&m);
-  const PipelineAlgorithm algorithms[] = {
-      PipelineAlgorithm::kMh, PipelineAlgorithm::kKmh,
-      PipelineAlgorithm::kMlsh, PipelineAlgorithm::kHlsh};
-  for (PipelineAlgorithm algorithm : algorithms) {
-    PipelineConfig config = MlshConfig(Path(PipelineAlgorithmName(algorithm)));
-    config.algorithm = algorithm;
-    config.mh.min_hash.num_hashes = 24;
-    config.kmh.sketch.k = 24;
-    config.hlsh.lsh.rows_per_run = 8;
-
-    PipelineRunner runner(config);
-    auto first = runner.Run(source);
-    ASSERT_TRUE(first.ok()) << PipelineAlgorithmName(algorithm);
+  for (const std::string tag : kAlgorithms) {
+    PipelineConfig config = Config(Path(tag));
+    auto first = PipelineRunner(config).Run(*TestMiner(tag), source);
+    ASSERT_TRUE(first.ok()) << tag;
 
     // Lose the verification artifact; phase 1-2 checkpoints survive.
-    std::filesystem::remove(Path(std::string(PipelineAlgorithmName(algorithm)) +
-                                 "/" + PipelineRunner::kPairsFile));
+    std::filesystem::remove(Path(tag + "/" + PipelineRunner::kPairsFile));
     config.resume = true;
-    PipelineRunner resumed(config);
-    auto second = resumed.Run(source);
-    ASSERT_TRUE(second.ok()) << PipelineAlgorithmName(algorithm);
-    EXPECT_TRUE(second->reused_signatures) << PipelineAlgorithmName(algorithm);
+    auto second = PipelineRunner(config).Run(*TestMiner(tag), source);
+    ASSERT_TRUE(second.ok()) << tag;
+    EXPECT_TRUE(second->reused_signatures) << tag;
     ExpectSameReport(second->report, first->report);
   }
 }
@@ -325,14 +310,14 @@ TEST_F(PipelineRunnerTest, ResumeIsBitIdenticalForEveryAlgorithm) {
 TEST_F(PipelineRunnerTest, FingerprintCoversSourceShape) {
   const BinaryMatrix m = TestMatrix();
   InMemorySource source(&m);
-  const PipelineConfig config = MlshConfig(Dir());
-  PipelineRunner runner(config);
-  const std::string a = runner.FingerprintString(source);
+  PipelineRunner runner(Config(Dir()));
+  const std::unique_ptr<Miner> miner = TestMiner("mlsh");
+  const std::string a = runner.FingerprintString(*miner, source);
 
   auto wider = BinaryMatrix::FromRows(2, 61, {{0}, {1}});
   ASSERT_TRUE(wider.ok());
   InMemorySource other(&wider.value());
-  EXPECT_NE(a, runner.FingerprintString(other));
+  EXPECT_NE(a, runner.FingerprintString(*miner, other));
 }
 
 std::string ReadFileBytes(const std::string& path) {
@@ -343,42 +328,97 @@ std::string ReadFileBytes(const std::string& path) {
   return bytes;
 }
 
-PipelineConfig AlgorithmConfig(PipelineAlgorithm algorithm,
-                               const std::string& dir) {
-  PipelineConfig config = MlshConfig(dir);
-  config.algorithm = algorithm;
-  config.mh.min_hash.num_hashes = 24;
-  config.mh.min_hash.seed = 3;
-  config.kmh.sketch.k = 24;
-  config.kmh.sketch.seed = 3;
-  config.hlsh.lsh.rows_per_run = 8;
-  config.hlsh.lsh.num_runs = 4;
-  config.hlsh.lsh.seed = 3;
-  return config;
+TEST_F(PipelineRunnerTest, CheckpointFormatIsStable) {
+  // A checkpoint directory written by an earlier build must still
+  // resume, so the fingerprint string, the manifest tag and the
+  // artifact checksums of every algorithm are pinned on a fixed table.
+  const BinaryMatrix m = TestMatrix();
+  InMemorySource source(&m);
+  struct Golden {
+    const char* tag;
+    const char* fingerprint;
+    const char* manifest;
+  };
+  const Golden goldens[] = {
+      {"mh",
+       "v1;algorithm=mh;threshold=0.59999999999999998;rows=400;cols=60;"
+       "degraded=0;max_skipped=0;k=24;family=0;seed=3;candgen=0;"
+       "delta=0.20000000000000001",
+       "{\n  \"format\": 1,\n  \"algorithm\": \"mh\",\n"
+       "  \"fingerprint\": \"4af9cca47eeef984\",\n  \"stages\": [\n"
+       "    {\"name\": \"signatures\", \"file\": \"signatures.bin\", "
+       "\"crc32c\": \"e20772ba\"},\n"
+       "    {\"name\": \"candidates\", \"file\": \"candidates.bin\", "
+       "\"crc32c\": \"87bfcabb\"},\n"
+       "    {\"name\": \"pairs\", \"file\": \"pairs.bin\", "
+       "\"crc32c\": \"a9d1dd1c\"}\n  ]\n}\n"},
+      {"kmh",
+       "v1;algorithm=kmh;threshold=0.59999999999999998;rows=400;cols=60;"
+       "degraded=0;max_skipped=0;k=24;family=0;seed=3;slack=0.5;"
+       "delta=0.20000000000000001;unbiased=1",
+       "{\n  \"format\": 1,\n  \"algorithm\": \"kmh\",\n"
+       "  \"fingerprint\": \"8709247219eda640\",\n  \"stages\": [\n"
+       "    {\"name\": \"signatures\", \"file\": \"signatures.bin\", "
+       "\"crc32c\": \"5e8b36d1\"},\n"
+       "    {\"name\": \"candidates\", \"file\": \"candidates.bin\", "
+       "\"crc32c\": \"d09d56d4\"},\n"
+       "    {\"name\": \"pairs\", \"file\": \"pairs.bin\", "
+       "\"crc32c\": \"a9d1dd1c\"}\n  ]\n}\n"},
+      {"mlsh",
+       "v1;algorithm=mlsh;threshold=0.59999999999999998;rows=400;cols=60;"
+       "degraded=0;max_skipped=0;r=4;l=8;sampled=0;num_hashes=40;family=0;"
+       "seed=5",
+       "{\n  \"format\": 1,\n  \"algorithm\": \"mlsh\",\n"
+       "  \"fingerprint\": \"042b66474146ba3e\",\n  \"stages\": [\n"
+       "    {\"name\": \"signatures\", \"file\": \"signatures.bin\", "
+       "\"crc32c\": \"6acd9f88\"},\n"
+       "    {\"name\": \"candidates\", \"file\": \"candidates.bin\", "
+       "\"crc32c\": \"0bc8b525\"},\n"
+       "    {\"name\": \"pairs\", \"file\": \"pairs.bin\", "
+       "\"crc32c\": \"a9d1dd1c\"}\n  ]\n}\n"},
+      {"hlsh",
+       "v1;algorithm=hlsh;threshold=0.59999999999999998;rows=400;cols=60;"
+       "degraded=0;max_skipped=0;r=8;runs=4;band=4;min_rows=64;"
+       "max_levels=32;skip_zero=1;seed=3",
+       "{\n  \"format\": 1,\n  \"algorithm\": \"hlsh\",\n"
+       "  \"fingerprint\": \"3f4b4ddcff6554cf\",\n  \"stages\": [\n"
+       "    {\"name\": \"signatures\", \"file\": \"signatures.bin\", "
+       "\"crc32c\": \"fb61180f\"},\n"
+       "    {\"name\": \"candidates\", \"file\": \"candidates.bin\", "
+       "\"crc32c\": \"4db76bb7\"},\n"
+       "    {\"name\": \"pairs\", \"file\": \"pairs.bin\", "
+       "\"crc32c\": \"d115132f\"}\n  ]\n}\n"},
+  };
+  for (const Golden& golden : goldens) {
+    const std::string name = golden.tag;
+    const std::unique_ptr<Miner> miner = TestMiner(name);
+    EXPECT_EQ(miner->tag(), name);
+    PipelineRunner runner(Config(Path(name)));
+    EXPECT_EQ(runner.FingerprintString(*miner, source), golden.fingerprint)
+        << name;
+    ASSERT_TRUE(runner.Run(*miner, source).ok()) << name;
+    EXPECT_EQ(ReadFileBytes(Path(name) + "/" + PipelineRunner::kManifestFile),
+              golden.manifest)
+        << name;
+  }
 }
 
 TEST_F(PipelineRunnerTest, EveryAlgorithmIsThreadCountInvariant) {
   const BinaryMatrix m = TestMatrix();
   InMemorySource source(&m);
-  const PipelineAlgorithm algorithms[] = {
-      PipelineAlgorithm::kMh, PipelineAlgorithm::kKmh,
-      PipelineAlgorithm::kMlsh, PipelineAlgorithm::kHlsh};
-  for (PipelineAlgorithm algorithm : algorithms) {
-    const std::string name = PipelineAlgorithmName(algorithm);
-
-    PipelineConfig reference = AlgorithmConfig(algorithm, Path(name + "_t1"));
+  for (const std::string name : kAlgorithms) {
+    PipelineConfig reference = Config(Path(name + "_t1"));
     reference.execution.num_threads = 1;
-    PipelineRunner reference_runner(reference);
-    auto reference_run = reference_runner.Run(source);
+    auto reference_run =
+        PipelineRunner(reference).Run(*TestMiner(name), source);
     ASSERT_TRUE(reference_run.ok()) << name;
 
     for (int threads : {2, 3, 8}) {
-      PipelineConfig config = AlgorithmConfig(
-          algorithm, Path(name + "_t" + std::to_string(threads)));
+      PipelineConfig config =
+          Config(Path(name + "_t" + std::to_string(threads)));
       config.execution.num_threads = threads;
       config.execution.block_rows = 64;
-      PipelineRunner runner(config);
-      auto run = runner.Run(source);
+      auto run = PipelineRunner(config).Run(*TestMiner(name), source);
       ASSERT_TRUE(run.ok()) << name << " threads=" << threads;
       ExpectSameReport(run->report, reference_run->report);
 
@@ -405,23 +445,21 @@ TEST_F(PipelineRunnerTest, ResumeAcrossThreadCountsIsBitIdentical) {
   const BinaryMatrix m = TestMatrix();
   InMemorySource source(&m);
 
-  PipelineConfig reference = AlgorithmConfig(PipelineAlgorithm::kMlsh,
-                                             Path("reference"));
+  PipelineConfig reference = Config(Path("reference"));
   reference.execution.num_threads = 1;
-  auto reference_run = PipelineRunner(reference).Run(source);
+  auto reference_run = RunMlsh(reference, source);
   ASSERT_TRUE(reference_run.ok());
 
-  PipelineConfig config =
-      AlgorithmConfig(PipelineAlgorithm::kMlsh, Path("resumed"));
+  PipelineConfig config = Config(Path("resumed"));
   config.execution.num_threads = 3;
-  auto first = PipelineRunner(config).Run(source);
+  auto first = RunMlsh(config, source);
   ASSERT_TRUE(first.ok());
 
   std::filesystem::remove(Path("resumed") + "/" +
                           PipelineRunner::kPairsFile);
   config.resume = true;
   config.execution.num_threads = 8;
-  auto second = PipelineRunner(config).Run(source);
+  auto second = RunMlsh(config, source);
   ASSERT_TRUE(second.ok());
   EXPECT_TRUE(second->reused_signatures);
   EXPECT_TRUE(second->reused_candidates);

@@ -44,14 +44,12 @@
 #include "mine/confidence_miner.h"
 #include "mine/hlsh_miner.h"
 #include "mine/kmh_miner.h"
-#include "candgen/hash_count.h"
 #include "mine/clustering.h"
 #include "mine/disjunction_miner.h"
 #include "mine/mh_miner.h"
 #include "mine/miner.h"
 #include "mine/mlsh_miner.h"
 #include "mine/pipeline_runner.h"
-#include "obs/metrics.h"
 #include "obs/run_report.h"
 #include "serve/client.h"
 #include "serve/server.h"
@@ -148,6 +146,8 @@ int Usage() {
       "            [--cols N] [--seed S]\n"
       "  mine      --in FILE --algorithm mh|kmh|mlsh|hlsh|auto\n"
       "            [--threshold S] [--k K] [--r R] [--l L] [--seed S]\n"
+      "            [--delta D (mh, kmh)] [--sample N] [--max-fn F]\n"
+      "            [--max-fp F] (auto: columns sampled, FN/FP budgets)\n"
       "            [--threads N (default: all cores; 1 = sequential)]\n"
       "            [--block-rows N] [--checkpoint-dir DIR] [--resume]\n"
       "            [--max-retries N] [--max-skipped-rows N]\n"
@@ -174,18 +174,39 @@ int Usage() {
   return 2;
 }
 
+bool IsTableFile(const std::string& path) {
+  return path.size() >= 5 && path.substr(path.size() - 5) == ".sans";
+}
+
 Result<BinaryMatrix> LoadInput(const std::string& path) {
-  if (path.size() >= 5 && path.substr(path.size() - 5) == ".sans") {
-    return ReadTableFile(path);
-  }
+  if (IsTableFile(path)) return ReadTableFile(path);
   return LoadTransactions(path);
 }
 
 Status SaveOutput(const BinaryMatrix& matrix, const std::string& path) {
-  if (path.size() >= 5 && path.substr(path.size() - 5) == ".sans") {
-    return WriteTableFile(matrix, path);
-  }
+  if (IsTableFile(path)) return WriteTableFile(matrix, path);
   return SaveTransactions(matrix, path);
+}
+
+/// A table opened for scanning: a .sans file streams from disk (so a
+/// mid-scan fault is recoverable by re-opening it); anything else is
+/// text transactions, loaded into memory once.
+struct InputTable {
+  std::unique_ptr<BinaryMatrix> matrix;  // text input only
+  std::unique_ptr<RowStreamSource> source;
+};
+
+Result<InputTable> OpenInput(const std::string& path) {
+  InputTable table;
+  if (IsTableFile(path)) {
+    SANS_ASSIGN_OR_RETURN(TableFileSource file, TableFileSource::Create(path));
+    table.source = std::make_unique<TableFileSource>(std::move(file));
+  } else {
+    SANS_ASSIGN_OR_RETURN(BinaryMatrix matrix, LoadTransactions(path));
+    table.matrix = std::make_unique<BinaryMatrix>(std::move(matrix));
+    table.source = std::make_unique<InMemorySource>(table.matrix.get());
+  }
+  return table;
 }
 
 int RunGenerate(const Args& args) {
@@ -246,49 +267,101 @@ int PrintPairs(const MiningReport& report) {
   return 0;
 }
 
-/// Checkpointed mining via the fault-tolerant pipeline runner.
-/// Selected by --checkpoint-dir; --resume reuses completed stages,
-/// --max-retries and --max-skipped-rows tune the resilient scans.
-int RunPipelineMine(const Args& args, const std::string& algorithm) {
-  PipelineConfig config;
+/// Validates `config` and builds the miner it configures.
+template <typename MinerT, typename Config>
+Result<std::unique_ptr<Miner>> NewMiner(const Config& config) {
+  SANS_RETURN_IF_ERROR(config.Validate());
+  return std::unique_ptr<Miner>(std::make_unique<MinerT>(config));
+}
+
+/// The one --algorithm table: maps mh|kmh|mlsh|hlsh|auto and their
+/// flags to a miner. `auto` (Section 4.1, input-sensitive) estimates
+/// the similarity distribution from the table — a column sample for
+/// the low mass, a min-hash sketch for the high tail — and resolves
+/// (r, l) before the run, so the fingerprint records them.
+Result<std::unique_ptr<Miner>> MakeMiner(const Args& args,
+                                         const InputTable& table,
+                                         const std::string& in) {
+  const std::string algorithm = args.GetString("algorithm", "mlsh");
   const uint64_t seed = args.GetInt("seed", 0);
+  if (algorithm == "mh") {
+    MhMinerConfig config;
+    config.min_hash.num_hashes = static_cast<int>(args.GetInt("k", 100));
+    config.min_hash.seed = seed;
+    config.delta = args.GetDouble("delta", 0.25);
+    return NewMiner<MhMiner>(config);
+  }
+  if (algorithm == "kmh") {
+    KmhMinerConfig config;
+    config.sketch.k = static_cast<int>(args.GetInt("k", 100));
+    config.sketch.seed = seed;
+    config.delta = args.GetDouble("delta", 0.25);
+    return NewMiner<KmhMiner>(config);
+  }
+  if (algorithm == "mlsh") {
+    MlshMinerConfig config;
+    config.lsh.rows_per_band = static_cast<int>(args.GetInt("r", 5));
+    config.lsh.num_bands = static_cast<int>(args.GetInt("l", 20));
+    config.seed = seed;
+    return NewMiner<MlshMiner>(config);
+  }
+  if (algorithm == "hlsh") {
+    HlshMinerConfig config;
+    config.lsh.rows_per_run = static_cast<int>(args.GetInt("r", 12));
+    config.lsh.num_runs = static_cast<int>(args.GetInt("l", 4));
+    config.lsh.seed = seed;
+    return NewMiner<HlshMiner>(config);
+  }
+  if (algorithm != "auto") {
+    return Status::InvalidArgument("unknown --algorithm '" + algorithm + "'");
+  }
+  // A streamed table is loaded for the estimate only.
+  std::optional<BinaryMatrix> loaded;
+  if (table.matrix == nullptr) {
+    SANS_ASSIGN_OR_RETURN(loaded, ReadTableFile(in));
+  }
+  const BinaryMatrix& matrix = loaded ? *loaded : *table.matrix;
+  DistributionEstimatorOptions est;
+  est.sample_columns = static_cast<ColumnId>(args.GetInt("sample", 500));
+  est.seed = seed;
+  SANS_ASSIGN_OR_RETURN(const SimilarityDistribution low,
+                        EstimateSimilarityDistribution(matrix, est));
+  SketchDistributionOptions sketch_est;
+  sketch_est.seed = seed + 1;
+  SANS_ASSIGN_OR_RETURN(
+      const SimilarityDistribution high,
+      EstimateSimilarityDistributionSketch(matrix, sketch_est));
+  LshOptimizerOptions opt;
+  opt.s0 = args.GetDouble("threshold", 0.5);
+  opt.max_false_negatives = args.GetDouble("max-fn", 5.0);
+  opt.max_false_positives = args.GetDouble("max-fp", 1e6);
+  SANS_ASSIGN_OR_RETURN(
+      MlshMiner miner,
+      MlshMiner::FromDistribution(MergeDistributions(low, high, 0.25), opt,
+                                  HashFamily::kSplitMix64, seed));
+  std::fprintf(stderr, "auto-selected r=%d l=%d\n",
+               miner.config().lsh.rows_per_band,
+               miner.config().lsh.num_bands);
+  return NewMiner<MlshMiner>(miner.config());
+}
+
+/// `sans mine`: one miner run by PipelineRunner. --checkpoint-dir
+/// persists every stage and --resume reuses them; --max-retries and
+/// --max-skipped-rows tune the resilient table scans.
+int RunMine(const Args& args) {
+  PipelineConfig config;
+  config.threshold = args.GetDouble("threshold", 0.5);
   auto execution = ParseExecution(args);
   if (!execution.ok()) return Fail(execution.status());
   config.execution = *execution;
-  if (algorithm == "mh") {
-    config.algorithm = PipelineAlgorithm::kMh;
-    config.mh.min_hash.num_hashes = static_cast<int>(args.GetInt("k", 100));
-    config.mh.min_hash.seed = seed;
-    config.mh.delta = args.GetDouble("delta", 0.25);
-  } else if (algorithm == "kmh") {
-    config.algorithm = PipelineAlgorithm::kKmh;
-    config.kmh.sketch.k = static_cast<int>(args.GetInt("k", 100));
-    config.kmh.sketch.seed = seed;
-    config.kmh.delta = args.GetDouble("delta", 0.25);
-  } else if (algorithm == "mlsh") {
-    config.algorithm = PipelineAlgorithm::kMlsh;
-    config.mlsh.lsh.rows_per_band = static_cast<int>(args.GetInt("r", 5));
-    config.mlsh.lsh.num_bands = static_cast<int>(args.GetInt("l", 20));
-    config.mlsh.seed = seed;
-  } else if (algorithm == "hlsh") {
-    config.algorithm = PipelineAlgorithm::kHlsh;
-    config.hlsh.lsh.rows_per_run = static_cast<int>(args.GetInt("r", 12));
-    config.hlsh.lsh.num_runs = static_cast<int>(args.GetInt("l", 4));
-    config.hlsh.lsh.seed = seed;
-  } else {
-    // "auto" derives (r, l) from the data, so its parameters are not a
-    // pure function of the flags and a resumed run could not prove the
-    // checkpoints match.
-    std::fprintf(stderr,
-                 "--checkpoint-dir requires an explicit algorithm "
-                 "(mh|kmh|mlsh|hlsh), got '%s'\n",
-                 algorithm.c_str());
-    return 2;
-  }
-  config.threshold = args.GetDouble("threshold", 0.5);
   config.run_report_path = args.GetString("run-report", "");
-  config.checkpoint_dir = args.Require("checkpoint-dir");
+  config.checkpoint_dir = args.GetString("checkpoint-dir", "");
   config.resume = args.GetBool("resume", false);
+  if (config.resume && config.checkpoint_dir.empty()) {
+    std::fprintf(stderr,
+                 "warning: --resume takes effect only with "
+                 "--checkpoint-dir; ignoring\n");
+  }
   const int64_t max_retries = args.GetInt("max-retries", 2);
   if (max_retries < 0) {
     std::fprintf(stderr, "--max-retries must be >= 0\n");
@@ -304,28 +377,12 @@ int RunPipelineMine(const Args& args, const std::string& algorithm) {
   config.resilience.max_skipped_rows = static_cast<uint64_t>(max_skipped);
   if (const Status s = config.Validate(); !s.ok()) return Fail(s);
 
-  // .sans inputs stream straight from disk (so a mid-scan fault is
-  // genuinely recoverable by re-opening the file); text transactions
-  // are loaded once up front.
   const std::string in = args.Require("in");
-  std::optional<TableFileSource> file_source;
-  Result<BinaryMatrix> matrix = Status::Unimplemented("");
-  std::optional<InMemorySource> memory_source;
-  const RowStreamSource* source = nullptr;
-  if (in.size() >= 5 && in.substr(in.size() - 5) == ".sans") {
-    auto opened = TableFileSource::Create(in);
-    if (!opened.ok()) return Fail(opened.status());
-    file_source.emplace(std::move(opened).value());
-    source = &*file_source;
-  } else {
-    matrix = LoadTransactions(in);
-    if (!matrix.ok()) return Fail(matrix.status());
-    memory_source.emplace(&matrix.value());
-    source = &*memory_source;
-  }
-
-  PipelineRunner runner(config);
-  auto summary = runner.Run(*source);
+  auto table = OpenInput(in);
+  if (!table.ok()) return Fail(table.status());
+  auto miner = MakeMiner(args, *table, in);
+  if (!miner.ok()) return Fail(miner.status());
+  auto summary = PipelineRunner(config).Run(**miner, *table->source);
   if (!summary.ok()) return Fail(summary.status());
   for (const std::string& line : summary->log) {
     std::fprintf(stderr, "%s\n", line.c_str());
@@ -342,132 +399,6 @@ int RunPipelineMine(const Args& args, const std::string& algorithm) {
   std::fprintf(stderr, "%s",
                RenderPhaseTable(summary->run_report).c_str());
   return PrintPairs(summary->report);
-}
-
-int RunMine(const Args& args) {
-  if (args.Has("checkpoint-dir")) {
-    return RunPipelineMine(args, args.GetString("algorithm", "mlsh"));
-  }
-  if (args.Has("resume") || args.Has("max-retries") ||
-      args.Has("max-skipped-rows")) {
-    std::fprintf(stderr,
-                 "warning: --resume/--max-retries/--max-skipped-rows take "
-                 "effect only with --checkpoint-dir; ignoring\n");
-  }
-  auto matrix = LoadInput(args.Require("in"));
-  if (!matrix.ok()) return Fail(matrix.status());
-  InMemorySource source(&matrix.value());
-  const double threshold = args.GetDouble("threshold", 0.5);
-  const uint64_t seed = args.GetInt("seed", 0);
-  const std::string algorithm = args.GetString("algorithm", "mlsh");
-  auto execution = ParseExecution(args);
-  if (!execution.ok()) return Fail(execution.status());
-
-  // Counter deltas across the miner call feed the run report; the
-  // checkpointed path gets the same report from PipelineRunner.
-  const MetricsSnapshot metrics_before =
-      MetricsRegistry::Global().Snapshot();
-
-  Result<MiningReport> report = Status::Unimplemented("");
-  if (algorithm == "mh") {
-    MhMinerConfig config;
-    config.min_hash.num_hashes = static_cast<int>(args.GetInt("k", 100));
-    config.min_hash.seed = seed;
-    config.delta = args.GetDouble("delta", 0.25);
-    config.execution = *execution;
-    MhMiner miner(config);
-    report = miner.Mine(source, threshold);
-  } else if (algorithm == "kmh") {
-    KmhMinerConfig config;
-    config.sketch.k = static_cast<int>(args.GetInt("k", 100));
-    config.sketch.seed = seed;
-    config.delta = args.GetDouble("delta", 0.25);
-    config.execution = *execution;
-    KmhMiner miner(config);
-    report = miner.Mine(source, threshold);
-  } else if (algorithm == "mlsh") {
-    MlshMinerConfig config;
-    config.lsh.rows_per_band = static_cast<int>(args.GetInt("r", 5));
-    config.lsh.num_bands = static_cast<int>(args.GetInt("l", 20));
-    config.seed = seed;
-    config.execution = *execution;
-    MlshMiner miner(config);
-    report = miner.Mine(source, threshold);
-  } else if (algorithm == "hlsh") {
-    HlshMinerConfig config;
-    config.lsh.rows_per_run = static_cast<int>(args.GetInt("r", 12));
-    config.lsh.num_runs = static_cast<int>(args.GetInt("l", 4));
-    config.lsh.seed = seed;
-    config.execution = *execution;
-    HlshMiner miner(config);
-    report = miner.Mine(source, threshold);
-  } else if (algorithm == "auto") {
-    // Section 4.1 input-sensitive mode: estimate the similarity
-    // distribution (column sample for the low mass, min-hash sketch
-    // for the high tail) and optimize (r, l).
-    DistributionEstimatorOptions est;
-    est.sample_columns = static_cast<ColumnId>(args.GetInt("sample", 500));
-    est.seed = seed;
-    auto low = EstimateSimilarityDistribution(*matrix, est);
-    if (!low.ok()) return Fail(low.status());
-    SketchDistributionOptions sketch_est;
-    sketch_est.seed = seed + 1;
-    auto high = EstimateSimilarityDistributionSketch(*matrix, sketch_est);
-    if (!high.ok()) return Fail(high.status());
-    const SimilarityDistribution distr =
-        MergeDistributions(*low, *high, 0.25);
-    LshOptimizerOptions opt;
-    opt.s0 = threshold;
-    opt.max_false_negatives = args.GetDouble("max-fn", 5.0);
-    opt.max_false_positives = args.GetDouble("max-fp", 1e6);
-    auto optimized = MlshMiner::FromDistribution(distr, opt,
-                                                 HashFamily::kSplitMix64, seed);
-    if (!optimized.ok()) return Fail(optimized.status());
-    std::fprintf(stderr, "auto-selected r=%d l=%d\n",
-                 optimized->config().lsh.rows_per_band,
-                 optimized->config().lsh.num_bands);
-    // Rebuild with the execution knobs (FromDistribution only derives
-    // the algorithmic parameters).
-    MlshMinerConfig config = optimized->config();
-    config.execution = *execution;
-    MlshMiner miner(config);
-    report = miner.Mine(source, threshold);
-  } else {
-    std::fprintf(stderr, "unknown --algorithm '%s'\n", algorithm.c_str());
-    return 2;
-  }
-  if (!report.ok()) return Fail(report.status());
-
-  RunReport run_report;
-  run_report.algorithm = algorithm;
-  run_report.threshold = threshold;
-  run_report.table_rows = matrix->num_rows();
-  run_report.table_cols = matrix->num_cols();
-  run_report.threads = execution->num_threads;
-  for (const auto& [phase, seconds] : report->timers.totals()) {
-    run_report.phases.push_back(RunReport::Phase{phase, seconds});
-  }
-  run_report.metric_deltas = CounterDeltas(
-      metrics_before, MetricsRegistry::Global().Snapshot());
-  const auto delta = [&run_report](const char* name) -> uint64_t {
-    const auto it = run_report.metric_deltas.find(name);
-    return it == run_report.metric_deltas.end() ? 0 : it->second;
-  };
-  run_report.rows_scanned = delta("sans_scan_rows_total");
-  run_report.candidates_generated = delta("sans_candgen_candidates_total");
-  run_report.candidates_verified = delta("sans_verify_candidates_total");
-  run_report.true_positives = delta("sans_verify_true_positives_total");
-  run_report.false_positives = delta("sans_verify_false_positives_total");
-  run_report.pairs_emitted = report->pairs.size();
-  if (args.Has("run-report")) {
-    const std::string path = args.Require("run-report");
-    if (const Status s = WriteRunReport(run_report, path); !s.ok()) {
-      return Fail(s);
-    }
-    std::fprintf(stderr, "run report written to %s\n", path.c_str());
-  }
-  std::fprintf(stderr, "%s", RenderPhaseTable(run_report).c_str());
-  return PrintPairs(*report);
 }
 
 int RunRules(const Args& args) {
@@ -543,9 +474,8 @@ int RunStats(const Args& args) {
 }
 
 int RunClusters(const Args& args) {
-  auto matrix = LoadInput(args.Require("in"));
-  if (!matrix.ok()) return Fail(matrix.status());
-  InMemorySource source(&matrix.value());
+  auto table = OpenInput(args.Require("in"));
+  if (!table.ok()) return Fail(table.status());
   const double threshold = args.GetDouble("threshold", 0.5);
   auto execution = ParseExecution(args);
   if (!execution.ok()) return Fail(execution.status());
@@ -554,9 +484,8 @@ int RunClusters(const Args& args) {
   miner_config.sketch.k = static_cast<int>(args.GetInt("k", 120));
   miner_config.sketch.seed = args.GetInt("seed", 0);
   miner_config.hash_count_slack = 0.4;
-  miner_config.execution = *execution;
   KmhMiner miner(miner_config);
-  auto report = miner.Mine(source, threshold);
+  auto report = miner.Mine(*table->source, threshold, *execution);
   if (!report.ok()) return Fail(report.status());
 
   ClusteringOptions options;
@@ -565,7 +494,7 @@ int RunClusters(const Args& args) {
       static_cast<int>(args.GetInt("min-size", 3));
   options.min_cohesion = args.GetDouble("min-cohesion", 0.5);
   auto clusters =
-      ExtractClusters(report->pairs, matrix->num_cols(), options);
+      ExtractClusters(report->pairs, table->source->num_cols(), options);
   if (!clusters.ok()) return Fail(clusters.status());
   std::printf("# %zu clusters (from %zu similar pairs)\n",
               clusters->size(), report->pairs.size());
@@ -620,8 +549,6 @@ int RunSketch(const Args& args) {
 }
 
 int RunPairsFromSketch(const Args& args) {
-  auto sketch = ReadKMinHashSketch(args.Require("sketch"));
-  if (!sketch.ok()) return Fail(sketch.status());
   const double threshold = args.GetDouble("threshold", 0.5);
   if (threshold <= 0.0 || threshold > 1.0) {
     std::fprintf(stderr, "threshold must lie in (0, 1]\n");
@@ -629,20 +556,25 @@ int RunPairsFromSketch(const Args& args) {
   }
   auto execution = ParseExecution(args);
   if (!execution.ok()) return Fail(execution.status());
+  // K-MH phase 2 only, on the stored sketch: no table is available for
+  // exact verification. With delta = 0 the unbiased estimate itself
+  // must reach the threshold.
+  KmhMinerConfig config;
+  config.delta = 0.0;
+  KmhMiner miner(config);
+  if (const Status s = miner.ReadSketch(args.Require("sketch")); !s.ok()) {
+    return Fail(s);
+  }
   const std::unique_ptr<ThreadPool> pool = MaybeCreatePool(*execution);
-  // Hash-count over the sketch, then the unbiased estimator — phase 2
-  // only, no table available for exact verification.
-  auto candidates =
-      HashCountKMinHashAdaptiveParallel(*sketch, 0.5 * threshold, pool.get());
+  auto candidates = miner.Candidates(threshold, pool.get());
   if (!candidates.ok()) return Fail(candidates.status());
+  const KMinHashSketch& sketch = miner.sketch();
   std::vector<SimilarPair> pairs;
   for (const auto& [pair, count] : *candidates) {
-    const double estimate = EstimateSimilarityUnbiased(
-        sketch->Signature(pair.first), sketch->Signature(pair.second),
-        sketch->k());
-    if (estimate >= threshold) {
-      pairs.push_back(SimilarPair{pair, estimate});
-    }
+    pairs.push_back(SimilarPair{
+        pair, EstimateSimilarityUnbiased(sketch.Signature(pair.first),
+                                         sketch.Signature(pair.second),
+                                         sketch.k())});
   }
   SortPairs(&pairs);
   std::printf("# %zu pairs (ESTIMATED similarities; verify against the "
@@ -666,30 +598,15 @@ int RunIndex(const Args& args) {
   if (!execution.ok()) return Fail(execution.status());
   config.execution = *execution;
   const IndexBuilder builder(config);
-  const std::string in = args.Require("in");
+  auto table = OpenInput(args.Require("in"));
+  if (!table.ok()) return Fail(table.status());
+  const RowStreamSource& source = *table->source;
   const std::string out = args.Require("out");
-
-  Status built = Status::OK();
-  ColumnId num_cols = 0;
-  RowId num_rows = 0;
-  if (in.size() >= 5 && in.substr(in.size() - 5) == ".sans") {
-    // Stream straight off the table file; no full matrix in memory.
-    auto source = TableFileSource::Create(in);
-    if (!source.ok()) return Fail(source.status());
-    num_cols = source->num_cols();
-    num_rows = source->num_rows();
-    built = builder.Build(*source, out);
-  } else {
-    auto matrix = LoadInput(in);
-    if (!matrix.ok()) return Fail(matrix.status());
-    num_cols = matrix->num_cols();
-    num_rows = matrix->num_rows();
-    built = builder.Build(InMemorySource(&matrix.value()), out);
-  }
-  if (!built.ok()) return Fail(built);
+  if (const Status s = builder.Build(source, out); !s.ok()) return Fail(s);
   std::printf("wrote %s: %u columns, %u rows, %d bands x %d rows, "
               "sketch k=%d\n",
-              out.c_str(), num_cols, num_rows, config.num_bands,
+              out.c_str(), source.num_cols(), source.num_rows(),
+              config.num_bands,
               config.rows_per_band, config.sketch_k);
   return 0;
 }
