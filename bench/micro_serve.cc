@@ -3,14 +3,17 @@
 // on an ephemeral loopback port at 1, 2, 4 and 8 worker threads, and
 // drives it with matching client threads issuing TopK and
 // PairSimilarity RPCs. Emits BENCH_serve.json with queries/sec (in
-// the rows_per_sec field) plus the server-side p50/p99 latency per
-// thread count, and a human-readable table.
+// the rows_per_sec field) plus the p50/p99 round-trip latency of each
+// opcode as the clients see it, per thread count, and a human-readable
+// table. Latency rows carry no speedup; the single-thread TopK QPS is
+// also recorded at the top level.
 //
 // SANS_BENCH_SCALE=small shrinks the corpus and query count for smoke
 // runs. As with micro_parallel, thread counts above the core count
 // only validate overhead: on a 1-core host every configuration
 // measures the same hardware.
 
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
 #include <memory>
@@ -29,12 +32,26 @@
 namespace sans {
 namespace {
 
+/// Nearest-rank quantile `q` of `values` (sorted in place).
+double Quantile(std::vector<double>& values, double q) {
+  if (values.empty()) return 0.0;
+  std::sort(values.begin(), values.end());
+  const size_t rank = static_cast<size_t>(q * (values.size() - 1) + 0.5);
+  return values[rank];
+}
+
+struct Latency {
+  double p50 = 0.0;
+  double p99 = 0.0;
+};
+
 struct RunResult {
   double topk_seconds = 0.0;
   double pair_seconds = 0.0;
   int topk_queries = 0;
   int pair_queries = 0;
-  ServerStatsSnapshot stats;
+  Latency topk_latency;
+  Latency pair_latency;
 };
 
 /// One benchmark run: a fresh server at `threads` workers, matching
@@ -63,49 +80,60 @@ RunResult RunOnce(std::shared_ptr<const SimilarityIndex> index, int threads,
   result.topk_queries = per_client * threads;
   result.pair_queries = per_client * threads;
 
-  const auto drive = [&](const auto& body) {
+  // Runs `rpc(client, query index)` per_client times on every client
+  // at once; returns the wall time and fills `latency` from the
+  // per-RPC round trips.
+  const auto drive = [&](const auto& rpc, Latency* latency) {
+    std::vector<std::vector<double>> seconds(threads);
     std::vector<std::thread> workers;
+    Stopwatch watch;
     for (int t = 0; t < threads; ++t) {
-      workers.emplace_back([&, t] { body(*clients[t], t); });
+      workers.emplace_back([&, t] {
+        for (int i = 0; i < per_client; ++i) {
+          Stopwatch rpc_watch;
+          rpc(*clients[t], static_cast<size_t>(t) * per_client + i);
+          seconds[t].push_back(rpc_watch.ElapsedSeconds());
+        }
+      });
     }
     for (std::thread& w : workers) w.join();
+    const double elapsed = watch.ElapsedSeconds();
+    std::vector<double> all;
+    for (const std::vector<double>& part : seconds) {
+      all.insert(all.end(), part.begin(), part.end());
+    }
+    latency->p50 = Quantile(all, 0.50);
+    latency->p99 = Quantile(all, 0.99);
+    return elapsed;
   };
 
-  Stopwatch topk_watch;
-  drive([&](Client& client, int t) {
-    for (int i = 0; i < per_client; ++i) {
-      const ColumnId col = static_cast<ColumnId>(
-          (static_cast<size_t>(t) * per_client + i) % num_cols);
-      auto neighbors = client.TopK(col, 8);
-      SANS_CHECK(neighbors.ok());
-    }
-  });
-  result.topk_seconds = topk_watch.ElapsedSeconds();
+  result.topk_seconds = drive(
+      [&](Client& client, size_t q) {
+        auto neighbors = client.TopK(static_cast<ColumnId>(q % num_cols), 8);
+        SANS_CHECK(neighbors.ok());
+      },
+      &result.topk_latency);
+  result.pair_seconds = drive(
+      [&](Client& client, size_t q) {
+        const ColumnId a = static_cast<ColumnId>(q % num_cols);
+        const ColumnId b = static_cast<ColumnId>((q * 7 + 1) % num_cols);
+        auto similarity = client.PairSimilarity(a, b);
+        SANS_CHECK(similarity.ok());
+      },
+      &result.pair_latency);
 
-  Stopwatch pair_watch;
-  drive([&](Client& client, int t) {
-    for (int i = 0; i < per_client; ++i) {
-      const size_t q = static_cast<size_t>(t) * per_client + i;
-      const ColumnId a = static_cast<ColumnId>(q % num_cols);
-      const ColumnId b = static_cast<ColumnId>((q * 7 + 1) % num_cols);
-      auto similarity = client.PairSimilarity(a, b);
-      SANS_CHECK(similarity.ok());
-    }
-  });
-  result.pair_seconds = pair_watch.ElapsedSeconds();
-
-  result.stats = (*server)->Stats();
-  SANS_CHECK_EQ(result.stats.errors, 0u);
+  SANS_CHECK_EQ((*server)->Stats().errors, 0u);
   clients.clear();
   (*server)->Stop();
 
   std::fprintf(stderr,
-               "[bench] threads=%d topk=%.2fs (%d queries) pair=%.2fs "
-               "(%d queries) p50=%.0fus p99=%.0fus\n",
+               "[bench] threads=%d topk=%.2fs (%d queries, p50=%.0fus "
+               "p99=%.0fus) pair=%.2fs (%d queries, p50=%.0fus "
+               "p99=%.0fus)\n",
                threads, result.topk_seconds, result.topk_queries,
+               result.topk_latency.p50 * 1e6, result.topk_latency.p99 * 1e6,
                result.pair_seconds, result.pair_queries,
-               result.stats.p50_seconds * 1e6,
-               result.stats.p99_seconds * 1e6);
+               result.pair_latency.p50 * 1e6, result.pair_latency.p99 * 1e6);
   return result;
 }
 
@@ -160,28 +188,33 @@ int Main() {
   for (int threads : kThreadCounts) {
     const RunResult run = RunOnce(index, threads, queries);
     if (threads == 1) reference = run;
-    const auto emit = [&](const char* phase, double seconds, double qps,
+    // Throughput rows: queries/sec in rows_per_sec, with a speedup
+    // over one thread. Latency rows: seconds only.
+    const auto emit = [&](const char* phase, double seconds, int queries,
                           double reference_seconds) {
       bench::BenchPhaseResult r;
       r.phase = phase;
       r.threads = threads;
       r.seconds = seconds;
-      r.rows_per_sec = qps;  // queries/sec for the RPC phases
-      r.speedup_vs_1_thread =
-          seconds > 0 ? reference_seconds / seconds : 0.0;
+      r.has_speedup = queries > 0;
+      if (r.has_speedup) {
+        r.rows_per_sec = seconds > 0 ? queries / seconds : 0.0;
+        r.speedup_vs_1_thread =
+            seconds > 0 ? reference_seconds / seconds : 0.0;
+      }
       results.push_back(r);
     };
-    emit("topk", run.topk_seconds,
-         run.topk_seconds > 0 ? run.topk_queries / run.topk_seconds : 0.0,
-         reference.topk_seconds);
-    emit("pair", run.pair_seconds,
-         run.pair_seconds > 0 ? run.pair_queries / run.pair_seconds : 0.0,
-         reference.pair_seconds);
-    emit("p50_latency", run.stats.p50_seconds, 0.0,
-         reference.stats.p50_seconds);
-    emit("p99_latency", run.stats.p99_seconds, 0.0,
-         reference.stats.p99_seconds);
+    emit("topk", run.topk_seconds, run.topk_queries, reference.topk_seconds);
+    emit("pair", run.pair_seconds, run.pair_queries, reference.pair_seconds);
+    emit("topk_p50", run.topk_latency.p50, 0, 0.0);
+    emit("topk_p99", run.topk_latency.p99, 0, 0.0);
+    emit("pair_p50", run.pair_latency.p50, 0, 0.0);
+    emit("pair_p99", run.pair_latency.p99, 0, 0.0);
   }
+  const double topk_qps_1_thread =
+      reference.topk_seconds > 0
+          ? reference.topk_queries / reference.topk_seconds
+          : 0.0;
 
   bench::WriteBenchJson(
       "BENCH_serve.json", "serve",
@@ -192,6 +225,7 @@ int Main() {
        {"num_bands", bench::JsonNumber(index_config.num_bands)},
        {"queries_per_phase", bench::JsonNumber(queries)},
        {"index_build_seconds", bench::JsonNumber(build_seconds)},
+       {"topk_qps_1_thread", bench::JsonNumber(topk_qps_1_thread)},
        {"hardware_threads",
         bench::JsonNumber(std::thread::hardware_concurrency())},
        {"scale", bench::SmallScale() ? "\"small\"" : "\"full\""}},
@@ -200,10 +234,16 @@ int Main() {
   std::printf("\n%-12s %8s %10s %14s %10s\n", "phase", "threads", "seconds",
               "queries/sec", "speedup");
   for (const bench::BenchPhaseResult& r : results) {
-    std::printf("%-12s %8d %10.4f %14.0f %9.2fx\n", r.phase.c_str(),
-                r.threads, r.seconds, r.rows_per_sec,
-                r.speedup_vs_1_thread);
+    if (r.has_speedup) {
+      std::printf("%-12s %8d %10.4f %14.0f %9.2fx\n", r.phase.c_str(),
+                  r.threads, r.seconds, r.rows_per_sec,
+                  r.speedup_vs_1_thread);
+    } else {
+      std::printf("%-12s %8d %10.6f %14s %10s\n", r.phase.c_str(), r.threads,
+                  r.seconds, "-", "-");
+    }
   }
+  std::printf("\nsingle-thread TopK: %.0f queries/sec\n", topk_qps_1_thread);
   std::printf("\nwrote BENCH_serve.json\n");
 
   std::filesystem::remove(index_path);

@@ -6,12 +6,18 @@
 // estimator over the bottom-k sketches, and keeps the k best through
 // util/bounded_heap. When the buckets yield fewer candidates than
 // requested — sparse buckets, tiny datasets, or k larger than the
-// filter's reach — it falls back to a linear scan of all column
-// sketches so the answer is never artificially short. PairSimilarity
-// is a point estimate over the two sketches. The engine is stateless
-// beyond a shared_ptr to the index, so one engine per request (or one
-// per server) are equally correct, and batch queries fan out over a
-// ThreadPool with deterministic per-query output.
+// filter's reach — it answers over every column, exactly as a linear
+// scan of all sketches would, but without one: the index's in-memory
+// sketch-value postings count T_c = |SIG_q ∩ SIG_c| for every column
+// sharing a value with the query (Section 3.1's Hash-Count, per
+// query); T_c over the exact Theorem 2 union size bounds each
+// estimate from above, so columns are reranked best bound first until
+// the bound cannot enter the answer; and columns sharing no value
+// estimate exactly 0. PairSimilarity is a point estimate over the two
+// sketches. The engine holds only a shared_ptr to the index (the
+// search's counters are per-thread scratch), so one engine per
+// request (or one per server) are equally correct, and batch queries
+// fan out over a ThreadPool with deterministic per-query output.
 
 #ifndef SANS_SERVE_QUERY_ENGINE_H_
 #define SANS_SERVE_QUERY_ENGINE_H_
@@ -45,8 +51,11 @@ struct Neighbor {
 struct TopKInfo {
   /// Distinct candidates the band buckets produced (self excluded).
   size_t bucket_candidates = 0;
-  /// True when the engine widened to a full sketch scan.
+  /// True when the buckets gave fewer than k candidates, so the
+  /// engine searched every column (through the postings).
   bool fallback_scan = false;
+  /// Theorem 2 estimator calls the evaluation made.
+  size_t reranked = 0;
 };
 
 class QueryEngine {

@@ -57,6 +57,8 @@ Server::Server(std::shared_ptr<const SimilarityIndex> index,
   bytes_read_ = metrics_.GetCounter("sans_serve_bytes_read_total");
   bytes_written_ = metrics_.GetCounter("sans_serve_bytes_written_total");
   reloads_ = metrics_.GetCounter("sans_serve_index_reloads_total");
+  topk_fallbacks_ = metrics_.GetCounter("sans_serve_topk_fallback_total");
+  topk_reranked_ = metrics_.GetCounter("sans_serve_topk_reranked_total");
   active_connections_ = metrics_.GetGauge("sans_serve_active_connections");
 }
 
@@ -205,10 +207,13 @@ std::vector<unsigned char> Server::HandleRequest(
             "], got " + std::to_string(request->k)));
       }
       const QueryEngine engine(Index());
+      TopKInfo info;
       auto neighbors = engine.TopK(request->col,
                                    static_cast<int>(request->k),
-                                   request->min_similarity);
+                                   request->min_similarity, &info);
       if (!neighbors.ok()) return fail(neighbors.status());
+      if (info.fallback_scan) topk_fallbacks_->Increment();
+      topk_reranked_->Increment(info.reranked);
       return EncodeTopKResponse(*neighbors);
     }
     case Opcode::kPairSimilarity: {

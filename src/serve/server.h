@@ -11,7 +11,8 @@
 // Observability lives in a server-private MetricsRegistry (private so
 // several servers in one test process report isolated counters):
 // per-request-type counters and latency histograms, bytes in/out,
-// active connections, errors, and index reloads. kStats reports the
+// active connections, errors, index reloads, and the TopK filter's
+// efficacy (queries the buckets could not serve, Theorem 2 calls). kStats reports the
 // headline counters over the wire, kMetrics ships the full Prometheus
 // text exposition, and Stop() logs a drain summary. Malformed frames
 // get an error response (when the stream is still framed) or a
@@ -134,6 +135,8 @@ class Server {
   Counter* bytes_read_ = nullptr;
   Counter* bytes_written_ = nullptr;
   Counter* reloads_ = nullptr;
+  Counter* topk_fallbacks_ = nullptr;
+  Counter* topk_reranked_ = nullptr;
   Gauge* active_connections_ = nullptr;
 
   std::unique_ptr<ThreadPool> pool_;

@@ -1,7 +1,10 @@
 #include "serve/similarity_index.h"
 
 #include <algorithm>
+#include <bit>
+#include <cmath>
 #include <cstdio>
+#include <limits>
 #include <numeric>
 
 #include "mine/parallel.h"
@@ -288,7 +291,114 @@ Result<SimilarityIndex> SimilarityIndex::Load(const std::string& path) {
       }
     }
   }
+  SANS_RETURN_IF_ERROR(index.BuildPostings());
   return index;
+}
+
+Status SimilarityIndex::BuildPostings() {
+  const size_t n = sketch_values_.size();
+  if (n >= std::numeric_limits<uint32_t>::max()) {
+    return Status::InvalidArgument(
+        "similarity index has too many sketch entries to serve");
+  }
+  // One pass in column-major entry order gives every distinct value a
+  // run id, in order of first sight, through an open-addressing table
+  // at load <= 1/2. Fresh pages dominate the build's cost, so the
+  // table is sized from a linear-counting estimate of the distinct
+  // values (a 2^20-bit map, error well under 1% below 10^6 values),
+  // capped by min(entries, rows) since each value hashes one row; it
+  // grows if a file still breaks the estimate. The slot of the value a
+  // few entries ahead is prefetched so the misses overlap.
+  constexpr uint64_t kMul = 0x9e3779b97f4a7c15ULL;
+  const auto mixed = [](uint64_t value) { return value * kMul; };
+  uint64_t max_distinct = std::min<uint64_t>(n, num_rows_);
+  {
+    constexpr int kMapBits = 20;
+    std::vector<uint64_t> map((size_t{1} << kMapBits) / 64, 0);
+    for (const uint64_t value : sketch_values_) {
+      const uint64_t bit = mixed(value) >> (64 - kMapBits);
+      map[bit / 64] |= uint64_t{1} << (bit % 64);
+    }
+    size_t zeros = 0;
+    for (const uint64_t word : map) zeros += 64 - std::popcount(word);
+    if (zeros > 0) {
+      const double bits = static_cast<double>(size_t{1} << kMapBits);
+      const double estimate = -bits * std::log(zeros / bits);
+      max_distinct = std::min<uint64_t>(
+          max_distinct, static_cast<uint64_t>(estimate * 1.05) + 16);
+    }
+  }
+
+  constexpr uint32_t kEmpty = std::numeric_limits<uint32_t>::max();
+  struct Slot {  // 12 bytes: the value's halves and its run id
+    uint32_t low = 0;
+    uint32_t high = 0;
+    uint32_t run = kEmpty;
+  };
+  size_t capacity = 2 * max_distinct + 16;
+  std::vector<Slot> table(capacity);
+  const auto home = [&](uint64_t value) {
+    return static_cast<size_t>(
+        (static_cast<unsigned __int128>(mixed(value)) * capacity) >> 64);
+  };
+  const auto value_of = [](const Slot& slot) {
+    return (uint64_t{slot.high} << 32) | slot.low;
+  };
+  const auto find = [&](uint64_t value) {
+    size_t slot = home(value);
+    while (table[slot].run != kEmpty && value_of(table[slot]) != value) {
+      if (++slot == capacity) slot = 0;
+    }
+    return slot;
+  };
+  // run_offsets_[r + 1] counts run r's columns until the prefix sum.
+  run_offsets_.assign(1, 0);
+  entry_run_.resize(n);
+  constexpr size_t kLookahead = 16;
+  for (size_t e = 0; e < n; ++e) {
+    if (e + kLookahead < n) {
+      __builtin_prefetch(&table[home(sketch_values_[e + kLookahead])]);
+    }
+    const uint64_t value = sketch_values_[e];
+    size_t slot = find(value);
+    if (table[slot].run == kEmpty) {
+      const uint32_t run = static_cast<uint32_t>(run_offsets_.size() - 1);
+      if (2 * (uint64_t{run} + 1) > capacity) {
+        std::vector<Slot> old(2 * capacity);
+        old.swap(table);
+        capacity *= 2;
+        for (const Slot& moved : old) {
+          if (moved.run != kEmpty) table[find(value_of(moved))] = moved;
+        }
+        slot = find(value);
+      }
+      table[slot] = Slot{static_cast<uint32_t>(value),
+                         static_cast<uint32_t>(value >> 32), run};
+      run_offsets_.push_back(0);
+    }
+    entry_run_[e] = table[slot].run;
+    ++run_offsets_[table[slot].run + 1];
+  }
+  std::vector<Slot>().swap(table);
+
+  // Counting fill in column order, so each run's columns ascend: the
+  // offsets first serve as each run's write cursor, which ends on the
+  // next run's start.
+  uint32_t start = 0;
+  for (size_t r = 0; r + 1 < run_offsets_.size(); ++r) {
+    run_offsets_[r] = start;
+    start += run_offsets_[r + 1];
+  }
+  run_columns_.resize(n);
+  for (ColumnId c = 0; c < num_cols_; ++c) {
+    for (uint64_t e = sketch_offsets_[c]; e < sketch_offsets_[c + 1]; ++e) {
+      run_columns_[run_offsets_[entry_run_[e]]++] = c;
+    }
+  }
+  std::copy_backward(run_offsets_.begin(), run_offsets_.end() - 1,
+                     run_offsets_.end());
+  run_offsets_[0] = 0;
+  return Status::OK();
 }
 
 }  // namespace sans

@@ -24,6 +24,15 @@
 // binary search over one band's sorted column array. A server can
 // therefore share one index across request threads with no locking
 // and reload by swapping a shared_ptr.
+//
+// Load also builds a sketch-value postings table in memory (it is not
+// part of the file, so the format and the bytes IndexBuilder writes
+// are unchanged): for every sketch entry, the ascending run of columns
+// whose sketch holds the same value. It is the per-query form of the
+// paper's Section 3.1 Hash-Count — walking a query's postings counts
+// |SIG_q ∩ SIG_c| for every column c at once — and lets TopK find its
+// exact answer without scanning every column. It costs two 32-bit
+// words per sketch entry plus one per distinct value.
 
 #ifndef SANS_SERVE_SIMILARITY_INDEX_H_
 #define SANS_SERVE_SIMILARITY_INDEX_H_
@@ -99,8 +108,20 @@ class SimilarityIndex {
   /// itself). O(log m) binary search over the band's sorted columns.
   std::span<const ColumnId> Bucket(int band, ColumnId col) const;
 
+  /// Every column whose sketch holds Sketch(col)[i], ascending and
+  /// including `col` itself. O(1).
+  std::span<const ColumnId> Postings(ColumnId col, size_t i) const {
+    const uint32_t run = entry_run_[sketch_offsets_[col] + i];
+    return {run_columns_.data() + run_offsets_[run],
+            run_columns_.data() + run_offsets_[run + 1]};
+  }
+
  private:
   SimilarityIndex() = default;
+
+  /// Builds entry_run_, run_offsets_ and run_columns_ from the loaded
+  /// sketches.
+  Status BuildPostings();
 
   int sketch_k_ = 0;
   int rows_per_band_ = 0;
@@ -114,6 +135,12 @@ class SimilarityIndex {
   std::vector<uint64_t> sketch_values_;  // concatenated signatures
   std::vector<uint64_t> sketch_offsets_; // num_cols + 1
   std::vector<uint64_t> cardinalities_;  // num_cols
+  // Postings: per sketch entry, the run of its value; run r holds the
+  // columns run_columns_[run_offsets_[r], run_offsets_[r + 1]),
+  // ascending.
+  std::vector<uint32_t> entry_run_;      // one per sketch entry
+  std::vector<uint32_t> run_offsets_;    // runs + 1
+  std::vector<ColumnId> run_columns_;
 };
 
 /// Builds an index file from a table. Two passes over the source (one

@@ -29,21 +29,30 @@ uint64_t SignatureIntersectionSize(std::span<const uint64_t> sig_a,
 double EstimateSimilarityUnbiased(std::span<const uint64_t> sig_a,
                                   std::span<const uint64_t> sig_b, int k) {
   SANS_CHECK_GT(k, 0);
-  const std::vector<uint64_t> sig_union = MergeSignatures(sig_a, sig_b, k);
-  if (sig_union.empty()) return 0.0;
-  // Count members of SIG_{i∪j} present in both signatures. All three
-  // lists are sorted; a triple scan over the union suffices.
-  uint64_t in_both = 0;
+  // One merge step per member of SIG_{i∪j} (the k smallest of the
+  // union), counting the steps where both signatures hold the value.
+  // Nothing is materialised; the count and the union size are the
+  // ones MergeSignatures would give, so the quotient is the same.
+  const size_t limit = static_cast<size_t>(k);
+  const size_t size_a = sig_a.size();
+  const size_t size_b = sig_b.size();
   size_t i = 0;
   size_t j = 0;
-  for (uint64_t v : sig_union) {
-    while (i < sig_a.size() && sig_a[i] < v) ++i;
-    while (j < sig_b.size() && sig_b[j] < v) ++j;
-    const bool in_a = i < sig_a.size() && sig_a[i] == v;
-    const bool in_b = j < sig_b.size() && sig_b[j] == v;
-    if (in_a && in_b) ++in_both;
+  size_t union_size = 0;
+  uint64_t in_both = 0;
+  while (i < size_a && j < size_b && union_size < limit) {
+    const uint64_t a = sig_a[i];
+    const uint64_t b = sig_b[j];
+    in_both += a == b;
+    i += a <= b;
+    j += b <= a;
+    ++union_size;
   }
-  return static_cast<double>(in_both) / sig_union.size();
+  // One side is used up (or the union is full): the rest of the other
+  // side extends the union with values the used-up side lacks.
+  union_size += std::min(limit - union_size, (size_a - i) + (size_b - j));
+  if (union_size == 0) return 0.0;
+  return static_cast<double>(in_both) / union_size;
 }
 
 double EstimateSimilarityBiased(uint64_t signature_intersection,

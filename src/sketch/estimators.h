@@ -25,7 +25,11 @@ uint64_t SignatureIntersectionSize(std::span<const uint64_t> sig_a,
 
 /// Theorem 2 unbiased estimator: merge to SIG_{i∪j} (k smallest of the
 /// union), count members present in both SIG_i and SIG_j, divide by
-/// |SIG_{i∪j}|. Returns 0 for two empty signatures.
+/// |SIG_{i∪j}|. Returns 0 for two empty signatures. Both signatures
+/// are ascending and distinct. One allocation-free merge pass that
+/// stops after k union members; the result equals the quotient over
+/// MergeSignatures bit for bit. The one Theorem 2 implementation:
+/// TopK, PairSimilarity, the K-MH prune and `sans pairs` all call it.
 double EstimateSimilarityUnbiased(std::span<const uint64_t> sig_a,
                                   std::span<const uint64_t> sig_b, int k);
 

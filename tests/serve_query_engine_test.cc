@@ -6,6 +6,8 @@
 #include <algorithm>
 #include <filesystem>
 #include <memory>
+#include <span>
+#include <string>
 #include <vector>
 
 #include "data/synthetic_generator.h"
@@ -13,6 +15,8 @@
 #include "matrix/row_stream.h"
 #include "mine/brute_force.h"
 #include "serve/similarity_index.h"
+#include "sketch/k_min_hash.h"
+#include "util/random.h"
 #include "util/thread_pool.h"
 
 namespace sans {
@@ -161,6 +165,173 @@ TEST_F(QueryEngineTest, FallbackScanFillsSmallDatasets) {
   ASSERT_TRUE(neighbors.ok());
   EXPECT_TRUE(info.fallback_scan);
   EXPECT_EQ(neighbors->size(), 5u);
+}
+
+/// Theorem 2 as the paper states it: merge to SIG_{i∪j}, count the
+/// members present in both signatures, divide by |SIG_{i∪j}|.
+double Theorem2(std::span<const uint64_t> a, std::span<const uint64_t> b,
+                int k) {
+  const std::vector<uint64_t> merged = MergeSignatures(a, b, k);
+  if (merged.empty()) return 0.0;
+  uint64_t in_both = 0;
+  for (uint64_t v : merged) {
+    in_both += std::binary_search(a.begin(), a.end(), v) &&
+               std::binary_search(b.begin(), b.end(), v);
+  }
+  return static_cast<double>(in_both) / merged.size();
+}
+
+/// The TopK answer defined by a linear scan: the bucket-mates when the
+/// band buckets supply at least k of them, otherwise every column;
+/// empty columns and the query itself excluded; the k best by
+/// (similarity desc, column asc).
+std::vector<Neighbor> ScanTopK(const SimilarityIndex& index, ColumnId col,
+                               int k, double min_similarity,
+                               bool* bucket_path) {
+  std::vector<ColumnId> candidates;
+  for (int band = 0; band < index.num_bands(); ++band) {
+    for (ColumnId other : index.Bucket(band, col)) {
+      if (other != col) candidates.push_back(other);
+    }
+  }
+  std::sort(candidates.begin(), candidates.end());
+  candidates.erase(std::unique(candidates.begin(), candidates.end()),
+                   candidates.end());
+  *bucket_path = candidates.size() >= static_cast<size_t>(k) ||
+                 candidates.size() + 1 >= index.num_cols();
+  if (!*bucket_path) {
+    candidates.clear();
+    for (ColumnId other = 0; other < index.num_cols(); ++other) {
+      if (other != col) candidates.push_back(other);
+    }
+  }
+  std::vector<Neighbor> all;
+  for (ColumnId other : candidates) {
+    if (index.Cardinality(other) == 0) continue;
+    const double similarity =
+        Theorem2(index.Sketch(col), index.Sketch(other), index.sketch_k());
+    if (similarity < min_similarity) continue;
+    all.push_back(Neighbor{other, similarity});
+  }
+  std::sort(all.begin(), all.end());
+  if (all.size() > static_cast<size_t>(k)) all.resize(k);
+  return all;
+}
+
+/// Columns of every kind TopK must rank: empty ones, exact duplicates
+/// (similarity ties), columns larger and smaller than a sketch of 32,
+/// and a block of 12 identical columns whose buckets hold 11 mates.
+BinaryMatrix MixedMatrix(uint64_t seed) {
+  constexpr RowId kRows = 240;
+  constexpr ColumnId kBase = 48;
+  constexpr ColumnId kCols = kBase + 12;
+  Xoshiro256 rng(seed);
+  std::vector<std::vector<RowId>> columns(kCols);
+  for (ColumnId c = 0; c < kBase; ++c) {
+    if (c % 12 == 5) continue;  // empty
+    if (c % 12 == 7 || c % 12 == 8) {
+      columns[c] = columns[c - (c % 12 == 7 ? 1 : 2)];  // duplicates
+      continue;
+    }
+    const double density = c % 3 == 0 ? 0.4 : c % 3 == 1 ? 0.03 : 0.12;
+    for (RowId r = 0; r < kRows; ++r) {
+      if (rng.NextBernoulli(density)) columns[c].push_back(r);
+    }
+  }
+  for (ColumnId c = kBase; c < kCols; ++c) columns[c] = columns[3];
+  std::vector<std::vector<ColumnId>> rows(kRows);
+  for (ColumnId c = 0; c < kCols; ++c) {
+    for (RowId r : columns[c]) rows[r].push_back(c);
+  }
+  auto built = BinaryMatrix::FromRows(kRows, kCols, rows);
+  EXPECT_TRUE(built.ok());
+  return std::move(*built);
+}
+
+/// Sparse random columns with no planted structure.
+BinaryMatrix RandomMatrix(uint64_t seed) {
+  constexpr RowId kRows = 400;
+  constexpr ColumnId kCols = 80;
+  Xoshiro256 rng(seed);
+  std::vector<std::vector<ColumnId>> rows(kRows);
+  for (RowId r = 0; r < kRows; ++r) {
+    for (ColumnId c = 0; c < kCols; ++c) {
+      if (rng.NextBernoulli(0.1)) rows[r].push_back(c);
+    }
+  }
+  auto built = BinaryMatrix::FromRows(kRows, kCols, rows);
+  EXPECT_TRUE(built.ok());
+  return std::move(*built);
+}
+
+TEST_F(QueryEngineTest, TopKMatchesLinearScan) {
+  struct Case {
+    const char* name;
+    BinaryMatrix matrix;
+    SimilarityIndexConfig config;
+    bool singleton_buckets = false;
+  };
+  std::vector<Case> cases;
+  {
+    SimilarityIndexConfig config = EngineConfig();
+    config.sketch_k = 32;
+    cases.push_back({"mixed", MixedMatrix(7), config});
+  }
+  {
+    // r = 32 over low-similarity columns: every bucket is a singleton,
+    // so every query leaves the bucket path.
+    SimilarityIndexConfig config = EngineConfig();
+    config.sketch_k = 16;
+    config.rows_per_band = 32;
+    config.num_bands = 2;
+    cases.push_back({"singleton buckets", RandomMatrix(9), config, true});
+  }
+  {
+    // r = 1: loose buckets, so small k is served from bucket-mates.
+    SimilarityIndexConfig config = EngineConfig();
+    config.sketch_k = 64;
+    config.rows_per_band = 1;
+    config.num_bands = 16;
+    cases.push_back({"loose buckets", PlantedMatrix(101), config});
+  }
+
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    const auto index = BuildIndex(c.matrix, c.config);
+    const QueryEngine engine(index);
+    const ColumnId m = index->num_cols();
+    if (c.singleton_buckets) {
+      for (int band = 0; band < index->num_bands(); ++band) {
+        for (ColumnId col = 0; col < m; ++col) {
+          ASSERT_EQ(index->Bucket(band, col).size(), 1u);
+        }
+      }
+    }
+    int bucket_queries = 0;
+    int scan_queries = 0;
+    for (const int k : {1, 10, static_cast<int>(m) + 5}) {
+      for (const double min_similarity : {0.0, 0.25, 0.9}) {
+        for (ColumnId col = 0; col < m; ++col) {
+          bool bucket_path = false;
+          const std::vector<Neighbor> expected =
+              ScanTopK(*index, col, k, min_similarity, &bucket_path);
+          TopKInfo info;
+          auto got = engine.TopK(col, k, min_similarity, &info);
+          ASSERT_TRUE(got.ok()) << got.status().ToString();
+          ASSERT_EQ(*got, expected)
+              << "col " << col << " k " << k << " min " << min_similarity;
+          EXPECT_EQ(info.fallback_scan, !bucket_path) << "col " << col;
+          (bucket_path ? bucket_queries : scan_queries) += 1;
+        }
+      }
+    }
+    EXPECT_GT(scan_queries, 0);
+    if (c.singleton_buckets) {
+      EXPECT_EQ(bucket_queries, 0);
+    } else {
+      EXPECT_GT(bucket_queries, 0);
+    }
+  }
 }
 
 TEST_F(QueryEngineTest, ExactWhenSketchCoversUnion) {

@@ -374,6 +374,27 @@ TEST_F(ServerTest, MetricsExpositionOverTheWire) {
             std::string::npos);
 }
 
+TEST_F(ServerTest, TopKFilterCountersInMetricsExposition) {
+  auto server = StartServer();
+  auto client = Connect(server->port());
+  // k above the column count: no bucket can supply it, so the query
+  // searches every column and reranks at least one.
+  ASSERT_TRUE(client->TopK(0, 100).ok());
+
+  auto text = client->Metrics();
+  ASSERT_TRUE(text.ok()) << text.status().ToString();
+  EXPECT_NE(text->find("# TYPE sans_serve_topk_fallback_total counter"),
+            std::string::npos);
+  EXPECT_NE(text->find("sans_serve_topk_fallback_total 1\n"),
+            std::string::npos);
+  EXPECT_NE(text->find("# TYPE sans_serve_topk_reranked_total counter"),
+            std::string::npos);
+  EXPECT_NE(text->find("sans_serve_topk_reranked_total "),
+            std::string::npos);
+  EXPECT_EQ(text->find("sans_serve_topk_reranked_total 0\n"),
+            std::string::npos);
+}
+
 TEST_F(ServerTest, MetricsRegistriesAreIsolatedPerServer) {
   auto server_a = StartServer();
   auto server_b = StartServer();

@@ -10,6 +10,7 @@
 
 #include "data/synthetic_generator.h"
 #include "matrix/row_stream.h"
+#include "util/checksum_io.h"
 #include "util/endian.h"
 
 namespace sans {
@@ -169,6 +170,122 @@ TEST_F(SimilarityIndexTest, IdenticalColumnsShareEveryBucket) {
     EXPECT_NE(std::find(bucket.begin(), bucket.end(), ColumnId{4}),
               bucket.end());
   }
+}
+
+/// Every column whose sketch holds `value`, ascending (what
+/// SimilarityIndex::Postings promises).
+std::vector<ColumnId> ColumnsHolding(const SimilarityIndex& index,
+                                     uint64_t value) {
+  std::vector<ColumnId> cols;
+  for (ColumnId c = 0; c < index.num_cols(); ++c) {
+    const auto sketch = index.Sketch(c);
+    if (std::binary_search(sketch.begin(), sketch.end(), value)) {
+      cols.push_back(c);
+    }
+  }
+  return cols;
+}
+
+/// Checks Postings(c, i) against a scan of every sketch; returns how
+/// many entries share their value with another column.
+size_t ExpectPostingsMatchScan(const SimilarityIndex& index) {
+  size_t shared = 0;
+  for (ColumnId c = 0; c < index.num_cols(); ++c) {
+    const auto sketch = index.Sketch(c);
+    for (size_t i = 0; i < sketch.size(); ++i) {
+      const auto postings = index.Postings(c, i);
+      EXPECT_EQ(std::vector<ColumnId>(postings.begin(), postings.end()),
+                ColumnsHolding(index, sketch[i]))
+          << "column " << c << " entry " << i;
+      shared += postings.size() > 1;
+    }
+  }
+  return shared;
+}
+
+/// Writes a one-band index file holding exactly `sketches` (every
+/// column in its own bucket) and claiming `num_rows` rows.
+void WriteIndexWithSketches(const std::string& path, uint32_t num_rows,
+                            const std::vector<std::vector<uint64_t>>& sketches) {
+  File file(std::fopen(path.c_str(), "wb"));
+  ASSERT_NE(file, nullptr);
+  CrcFile f{file.get()};
+  const uint32_t num_cols = static_cast<uint32_t>(sketches.size());
+  uint32_t sketch_k = 1;
+  for (const auto& sketch : sketches) {
+    sketch_k = std::max(sketch_k, static_cast<uint32_t>(sketch.size()));
+  }
+  for (const uint32_t word :
+       {kSimilarityIndexMagic, kSimilarityIndexVersion, sketch_k, uint32_t{1},
+        uint32_t{1}, num_cols, num_rows, uint32_t{0}}) {
+    ASSERT_TRUE(f.WriteScalar(word).ok());
+  }
+  ASSERT_TRUE(f.WriteScalar(uint64_t{0}).ok());  // seed
+  for (uint32_t c = 0; c < num_cols; ++c) {  // band key = column
+    ASSERT_TRUE(f.WriteScalar(uint64_t{c}).ok());
+  }
+  for (uint32_t c = 0; c < num_cols; ++c) {  // singleton buckets
+    ASSERT_TRUE(f.WriteScalar(c).ok());
+  }
+  for (const std::vector<uint64_t>& sketch : sketches) {
+    ASSERT_TRUE(f.WriteScalar(uint64_t{sketch.size()} * 2).ok());
+    ASSERT_TRUE(f.WriteScalar(static_cast<uint32_t>(sketch.size())).ok());
+    for (const uint64_t value : sketch) {
+      ASSERT_TRUE(f.WriteScalar(value).ok());
+    }
+  }
+  ASSERT_TRUE(f.WriteTrailer().ok());
+}
+
+TEST_F(SimilarityIndexTest, PostingsListEveryColumnSharingAValue) {
+  const BinaryMatrix matrix = TestMatrix(31);
+  const std::string path = Path("postings.sidx");
+  ASSERT_TRUE(IndexBuilder(SmallConfig())
+                  .Build(InMemorySource(&matrix), path)
+                  .ok());
+  auto index = SimilarityIndex::Load(path);
+  ASSERT_TRUE(index.ok()) << index.status().ToString();
+  EXPECT_GT(ExpectPostingsMatchScan(*index), 0u);
+}
+
+TEST_F(SimilarityIndexTest, PostingsGroupByFullValue) {
+  // Values that agree in their low or high 32 bits stay apart.
+  constexpr uint64_t kHigh = uint64_t{1} << 32;
+  const std::string path = Path("full_value.sidx");
+  WriteIndexWithSketches(path, 100,
+                         {{5, kHigh + 5, 3 * kHigh + 7},
+                          {kHigh + 5, 2 * kHigh + 5, 3 * kHigh + 7},
+                          {},
+                          {5, 9, 2 * kHigh + 5, 2 * kHigh + 9},
+                          {kHigh + 5}});
+  auto index = SimilarityIndex::Load(path);
+  ASSERT_TRUE(index.ok()) << index.status().ToString();
+  ExpectPostingsMatchScan(*index);
+  const auto postings = [&](ColumnId c, size_t i) {
+    const auto span = index->Postings(c, i);
+    return std::vector<ColumnId>(span.begin(), span.end());
+  };
+  using Cols = std::vector<ColumnId>;
+  EXPECT_EQ(postings(0, 0), (Cols{0, 3}));     // 5
+  EXPECT_EQ(postings(0, 1), (Cols{0, 1, 4}));  // 2^32 + 5
+  EXPECT_EQ(postings(1, 1), (Cols{1, 3}));     // 2 * 2^32 + 5
+  EXPECT_EQ(postings(3, 1), (Cols{3}));        // 9: column 3 only
+}
+
+TEST_F(SimilarityIndexTest, PostingsSurviveMoreValuesThanRows) {
+  // A file claiming one row while holding 120 distinct values: the
+  // row count must not cap the postings build.
+  std::vector<std::vector<uint64_t>> sketches(3);
+  for (uint64_t v = 0; v < 120; ++v) {
+    sketches[v % 3].push_back(v * 977 + 1);
+    if (v % 4 == 0) sketches[(v + 1) % 3].push_back(v * 977 + 1);
+  }
+  for (auto& sketch : sketches) std::sort(sketch.begin(), sketch.end());
+  const std::string path = Path("more_values.sidx");
+  WriteIndexWithSketches(path, 1, sketches);
+  auto index = SimilarityIndex::Load(path);
+  ASSERT_TRUE(index.ok()) << index.status().ToString();
+  EXPECT_EQ(ExpectPostingsMatchScan(*index), 60u);
 }
 
 TEST_F(SimilarityIndexTest, MissingFileIsIOError) {

@@ -2,8 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "data/synthetic_generator.h"
 #include "matrix/row_stream.h"
+#include "util/random.h"
 
 namespace sans {
 namespace {
@@ -36,6 +40,64 @@ TEST(EstimateSimilarityUnbiasedTest, EmptySignaturesGiveZero) {
   EXPECT_DOUBLE_EQ(EstimateSimilarityUnbiased({}, {}, 5), 0.0);
   const std::vector<uint64_t> a = {1};
   EXPECT_DOUBLE_EQ(EstimateSimilarityUnbiased(a, {}, 5), 0.0);
+}
+
+/// Theorem 2 over a materialised SIG_{i∪j}: MergeSignatures, then a
+/// triple scan counting the union members present in both signatures.
+double MergedTheorem2(const std::vector<uint64_t>& a,
+                      const std::vector<uint64_t>& b, int k) {
+  const std::vector<uint64_t> merged = MergeSignatures(a, b, k);
+  if (merged.empty()) return 0.0;
+  uint64_t in_both = 0;
+  size_t i = 0;
+  size_t j = 0;
+  for (uint64_t v : merged) {
+    while (i < a.size() && a[i] < v) ++i;
+    while (j < b.size() && b[j] < v) ++j;
+    in_both += i < a.size() && a[i] == v && j < b.size() && b[j] == v;
+  }
+  return static_cast<double>(in_both) / merged.size();
+}
+
+/// Ascending distinct values: each of [0, universe) kept with
+/// probability p.
+std::vector<uint64_t> RandomSignature(Xoshiro256& rng, uint64_t universe,
+                                      double p) {
+  std::vector<uint64_t> sig;
+  for (uint64_t v = 0; v < universe; ++v) {
+    if (rng.NextBernoulli(p)) sig.push_back(v * 7 + 3);
+  }
+  return sig;
+}
+
+TEST(EstimateSimilarityUnbiasedTest, MatchesMergedReferenceBitForBit) {
+  const std::vector<uint64_t> empty;
+  const std::vector<uint64_t> low = {1, 2, 3, 4, 5, 6};
+  const std::vector<uint64_t> high = {10, 20, 30};
+  const std::vector<uint64_t> interleaved = {0, 2, 4, 6, 8};
+  std::vector<std::pair<std::vector<uint64_t>, std::vector<uint64_t>>> pairs =
+      {{empty, empty},   {low, empty},  {empty, high}, {low, high},
+       {high, low},      {low, low},    {high, high},  {low, interleaved},
+       {interleaved, low}};
+  Xoshiro256 rng(23);
+  for (int trial = 0; trial < 400; ++trial) {
+    const uint64_t universe = 1 + rng.NextBounded(120);
+    const double pa = rng.NextDouble();
+    const double pb = rng.NextDouble();
+    pairs.emplace_back(RandomSignature(rng, universe, pa),
+                       RandomSignature(rng, universe, pb));
+  }
+  for (const auto& [a, b] : pairs) {
+    // k from 1 (every union truncated) to far above any union size.
+    for (const int k : {1, 2, 3, 5, 8, 16, 40, 64, 1000}) {
+      const double expected = MergedTheorem2(a, b, k);
+      const double got = EstimateSimilarityUnbiased(a, b, k);
+      // Exact double equality: the same count over the same union size.
+      EXPECT_EQ(got, expected) << "k=" << k << " |a|=" << a.size()
+                               << " |b|=" << b.size();
+      EXPECT_EQ(EstimateSimilarityUnbiased(b, a, k), expected);
+    }
+  }
 }
 
 TEST(EstimateSimilarityBiasedTest, ZeroCardinalityGivesZero) {
