@@ -23,18 +23,15 @@ Result<SignatureMatrix> ComputeMinHashParallel(
     return generator.Compute(stream.get());
   }
 
-  const int workers = execution.num_threads;
-  const ColumnId m = source.num_cols();
-  std::vector<SignatureMatrix> partials(
-      workers, SignatureMatrix(config.num_hashes, m));
   // The bank is read-only after construction and shared across
-  // workers; each worker owns a blocked kernel bound to its partial
-  // matrix (the kernel's hash scratch is the per-worker state).
+  // workers; each worker owns a blocked kernel, whose lane-interleaved
+  // accumulator is its partial result.
+  const int workers = execution.num_threads;
   HashFunctionBank bank(config.family, config.num_hashes, config.seed);
   std::vector<MinHashBlockKernel> kernels;
   kernels.reserve(workers);
   for (int w = 0; w < workers; ++w) {
-    kernels.emplace_back(&bank, &partials[w]);
+    kernels.emplace_back(&bank, source.num_cols());
   }
 
   SANS_RETURN_IF_ERROR(ForEachRowBlock(
@@ -44,18 +41,12 @@ Result<SignatureMatrix> ComputeMinHashParallel(
         return Status::OK();
       }));
 
-  // Element-wise min merge in worker-id order (min is commutative and
+  // Lane-wise min merge in worker-id order (min is commutative and
   // associative, so any order gives the sequential matrix; a fixed
-  // order keeps the procedure auditable).
-  SignatureMatrix& merged = partials[0];
-  for (int w = 1; w < workers; ++w) {
-    for (int l = 0; l < config.num_hashes; ++l) {
-      for (ColumnId c = 0; c < m; ++c) {
-        merged.MinUpdate(l, c, partials[w].Value(l, c));
-      }
-    }
-  }
-  return std::move(merged);
+  // order keeps the procedure auditable). Each merged accumulator is
+  // freed at once, and worker 0's becomes the matrix in place.
+  for (int w = 1; w < workers; ++w) kernels[0].Merge(kernels[w]);
+  return kernels[0].TakeSignatures();
 }
 
 Result<KMinHashSketch> ComputeKMinHashParallel(

@@ -12,6 +12,7 @@
 #include "mine/parallel.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "sketch/sketch_kernels.h"
 #include "util/crc32c.h"
 
 namespace sans {
@@ -303,11 +304,19 @@ Result<PipelineRunSummary> PipelineRunner::Run(
                             loaded.ToString() + ")");
     }
     reuse_chain = false;
+    const ResourceUsage before = ResourceUsage::Now();
     {
       ScopedPhase phase(&summary.report.timers, kStagePhases[index]);
       TraceSpan span(&trace, kStagePhases[index], root_span);
       SANS_RETURN_IF_ERROR(compute());
     }
+    const ResourceUsage after = ResourceUsage::Now();
+    // Stages run in pipeline order; a reused stage has no entry, which
+    // the report reads as "paid nothing".
+    summary.run_report.phases.push_back(RunReport::Phase{
+        kStagePhases[index],
+        summary.report.timers.Total(kStagePhases[index]),
+        after.cpu_s - before.cpu_s, after.peak_rss_mb});
     if (persist) {
       TraceSpan span(&trace, std::string("checkpoint-") + kStageNames[index],
                      root_span);
@@ -392,13 +401,7 @@ Result<PipelineRunSummary> PipelineRunner::Run(
   report.table_rows = source.num_rows();
   report.table_cols = source.num_cols();
   report.threads = config_.execution.num_threads;
-  // PhaseTimer keys sort in pipeline order by construction
-  // ("1-signatures" < "2-candidates" < "3-verify"); reused stages have
-  // no timer entry and are absent, which the report reads as "paid
-  // nothing".
-  for (const auto& [phase, seconds] : summary.report.timers.totals()) {
-    report.phases.push_back(RunReport::Phase{phase, seconds});
-  }
+  report.minhash_kernel = MinHashIsaName(SelectedMinHashIsa());
   report.metric_deltas = CounterDeltas(metrics_before, metrics_after);
   const auto delta = [&report](const char* name) -> uint64_t {
     const auto it = report.metric_deltas.find(name);

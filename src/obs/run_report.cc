@@ -1,5 +1,7 @@
 #include "obs/run_report.h"
 
+#include <sys/resource.h>
+
 #include <algorithm>
 #include <cstdio>
 #include <sstream>
@@ -48,6 +50,19 @@ std::string FormatSeconds(double seconds) {
 
 }  // namespace
 
+ResourceUsage ResourceUsage::Now() {
+  struct rusage usage {};
+  ::getrusage(RUSAGE_SELF, &usage);
+  const auto seconds = [](const timeval& t) {
+    return static_cast<double>(t.tv_sec) +
+           static_cast<double>(t.tv_usec) * 1e-6;
+  };
+  ResourceUsage now;
+  now.cpu_s = seconds(usage.ru_utime) + seconds(usage.ru_stime);
+  now.peak_rss_mb = static_cast<double>(usage.ru_maxrss) / 1024.0;  // KiB
+  return now;
+}
+
 std::string RenderRunReportJson(const RunReport& report) {
   std::ostringstream out;
   out << "{\n";
@@ -58,12 +73,18 @@ std::string RenderRunReportJson(const RunReport& report) {
   out << "  \"table_rows\": " << report.table_rows << ",\n";
   out << "  \"table_cols\": " << report.table_cols << ",\n";
   out << "  \"threads\": " << report.threads << ",\n";
+  out << "  \"minhash_kernel\": ";
+  AppendJsonString(out, report.minhash_kernel);
+  out << ",\n";
   out << "  \"phases\": [";
   for (size_t i = 0; i < report.phases.size(); ++i) {
     if (i > 0) out << ',';
     out << "\n    {\"name\": ";
     AppendJsonString(out, report.phases[i].name);
-    out << ", \"seconds\": " << FormatSeconds(report.phases[i].seconds) << '}';
+    out << ", \"seconds\": " << FormatSeconds(report.phases[i].seconds)
+        << ", \"cpu_s\": " << FormatSeconds(report.phases[i].cpu_s)
+        << ", \"peak_rss_mb\": " << FormatSeconds(report.phases[i].peak_rss_mb)
+        << '}';
   }
   if (!report.phases.empty()) out << "\n  ";
   out << "],\n";
@@ -106,27 +127,33 @@ Status WriteRunReport(const RunReport& report, const std::string& path) {
 
 std::string RenderPhaseTable(const RunReport& report) {
   double total = 0.0;
+  double total_cpu = 0.0;
+  double peak = 0.0;
   size_t name_width = 5;  // "total"
   for (const RunReport::Phase& phase : report.phases) {
     total += phase.seconds;
+    total_cpu += phase.cpu_s;
+    peak = std::max(peak, phase.peak_rss_mb);
     name_width = std::max(name_width, phase.name.size());
   }
   std::ostringstream out;
-  char buf[96];
-  std::snprintf(buf, sizeof(buf), "%-*s  %9s  %6s\n",
-                static_cast<int>(name_width), "phase", "seconds", "%");
+  char buf[128];
+  std::snprintf(buf, sizeof(buf), "%-*s  %9s  %6s  %8s  %8s\n",
+                static_cast<int>(name_width), "phase", "seconds", "%",
+                "cpu_s", "peak_mb");
   out << buf;
-  for (const RunReport::Phase& phase : report.phases) {
-    const double pct = total > 0.0 ? 100.0 * phase.seconds / total : 0.0;
-    std::snprintf(buf, sizeof(buf), "%-*s  %9.3f  %6.1f\n",
-                  static_cast<int>(name_width), phase.name.c_str(),
-                  phase.seconds, pct);
+  const auto row = [&](const std::string& name, double seconds,
+                       double cpu_s, double peak_rss_mb) {
+    const double pct = total > 0.0 ? 100.0 * seconds / total : 0.0;
+    std::snprintf(buf, sizeof(buf), "%-*s  %9.3f  %6.1f  %8.3f  %8.1f\n",
+                  static_cast<int>(name_width), name.c_str(), seconds, pct,
+                  cpu_s, peak_rss_mb);
     out << buf;
+  };
+  for (const RunReport::Phase& phase : report.phases) {
+    row(phase.name, phase.seconds, phase.cpu_s, phase.peak_rss_mb);
   }
-  std::snprintf(buf, sizeof(buf), "%-*s  %9.3f  %6.1f\n",
-                static_cast<int>(name_width), "total", total,
-                total > 0.0 ? 100.0 : 0.0);
-  out << buf;
+  row("total", total, total_cpu, peak);
   std::snprintf(
       buf, sizeof(buf),
       "rows scanned: %llu  candidates: %llu  verified: %llu  pairs: %llu\n",
@@ -135,6 +162,9 @@ std::string RenderPhaseTable(const RunReport& report) {
       static_cast<unsigned long long>(report.candidates_verified),
       static_cast<unsigned long long>(report.pairs_emitted));
   out << buf;
+  if (!report.minhash_kernel.empty()) {
+    out << "min-hash kernel: " << report.minhash_kernel << '\n';
+  }
   return out.str();
 }
 

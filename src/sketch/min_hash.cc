@@ -35,7 +35,6 @@ MinHashGenerator::MinHashGenerator(const MinHashConfig& config)
 Result<SignatureMatrix> MinHashGenerator::Compute(
     RowStream* rows, std::vector<uint64_t>* cardinalities) const {
   SANS_RETURN_IF_ERROR(rows->Reset());
-  SignatureMatrix signatures(config_.num_hashes, rows->num_cols());
   if (cardinalities != nullptr) {
     cardinalities->assign(rows->num_cols(), 0);
   }
@@ -47,8 +46,8 @@ Result<SignatureMatrix> MinHashGenerator::Compute(
   // Rows are copied into a RowBlock (the RowView span dies on the next
   // Next() call) and handed to the blocked kernel, which batch-hashes
   // the row ids under all k functions and applies the clamp and the
-  // transposed min-update (see sketch_kernels.h).
-  MinHashBlockKernel kernel(&bank_, &signatures);
+  // lane-interleaved min-update (see sketch_kernels.h).
+  MinHashBlockKernel kernel(&bank_, rows->num_cols());
   RowBlock block;
   RowView view;
   while (rows->Next(&view)) {
@@ -68,7 +67,7 @@ Result<SignatureMatrix> MinHashGenerator::Compute(
   // Signatures over a truncated scan are silently biased — fail the
   // pass instead of ending it "cleanly".
   SANS_RETURN_IF_ERROR(rows->stream_status());
-  return signatures;
+  return kernel.TakeSignatures();
 }
 
 }  // namespace sans

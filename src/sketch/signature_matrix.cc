@@ -1,5 +1,7 @@
 #include "sketch/signature_matrix.h"
 
+#include <utility>
+
 namespace sans {
 
 SignatureMatrix::SignatureMatrix(int num_hashes, ColumnId num_cols)
@@ -7,6 +9,15 @@ SignatureMatrix::SignatureMatrix(int num_hashes, ColumnId num_cols)
   SANS_CHECK_GT(num_hashes, 0);
   values_.assign(static_cast<size_t>(num_hashes) * num_cols,
                  kEmptyMinHash);
+}
+
+SignatureMatrix::SignatureMatrix(int num_hashes, ColumnId num_cols,
+                                 CacheAlignedVector<uint64_t> values)
+    : num_hashes_(num_hashes),
+      num_cols_(num_cols),
+      values_(std::move(values)) {
+  SANS_CHECK_GT(num_hashes, 0);
+  SANS_CHECK_EQ(values_.size(), static_cast<size_t>(num_hashes) * num_cols);
 }
 
 void SignatureMatrix::ColumnSignature(ColumnId col,

@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "core/types.h"
+#include "util/aligned_vector.h"
 #include "util/status.h"
 
 namespace sans {
@@ -29,6 +30,13 @@ class SignatureMatrix {
  public:
   /// All entries initialized to kEmptyMinHash.
   SignatureMatrix(int num_hashes, ColumnId num_cols);
+
+  /// Adopts `values`, laid out as HashRow(0), HashRow(1), ... (size
+  /// num_hashes * num_cols). The Min-Hash kernel hands over its
+  /// accumulator this way after transposing it in place, so the
+  /// matrix costs no second allocation.
+  SignatureMatrix(int num_hashes, ColumnId num_cols,
+                  CacheAlignedVector<uint64_t> values);
 
   SignatureMatrix(const SignatureMatrix&) = default;
   SignatureMatrix& operator=(const SignatureMatrix&) = default;
@@ -57,16 +65,6 @@ class SignatureMatrix {
 
   /// One hash function's values across all columns (contiguous).
   std::span<const uint64_t> HashRow(int hash_index) const {
-    return {values_.data() + static_cast<size_t>(hash_index) * num_cols_,
-            num_cols_};
-  }
-
-  /// Mutable view of one hash function's values — the blocked update
-  /// kernels' escape hatch from per-entry bounds checks: the row index
-  /// is checked once here, column offsets are the caller's contract.
-  std::span<uint64_t> MutableHashRow(int hash_index) {
-    SANS_CHECK_GE(hash_index, 0);
-    SANS_CHECK_LT(hash_index, num_hashes_);
     return {values_.data() + static_cast<size_t>(hash_index) * num_cols_,
             num_cols_};
   }
@@ -100,7 +98,7 @@ class SignatureMatrix {
 
   int num_hashes_;
   ColumnId num_cols_;
-  std::vector<uint64_t> values_;
+  CacheAlignedVector<uint64_t> values_;
 };
 
 }  // namespace sans

@@ -56,19 +56,19 @@ RowHasher::RowHasher(HashFamily family, uint64_t seed) : family_(family) {
   }
 }
 
-void RowHasher::HashBatch(std::span<const uint64_t> keys,
-                          uint64_t* out) const {
+void RowHasher::HashBatch(std::span<const uint64_t> keys, uint64_t* out,
+                          size_t stride) const {
   const size_t n = keys.size();
   switch (family_) {
     case HashFamily::kSplitMix64: {
       const uint64_t offset = 0x9e3779b97f4a7c15ULL * (seed_ + 1);
-      for (size_t i = 0; i < n; ++i) out[i] = Mix64(keys[i] + offset);
+      for (size_t i = 0; i < n; ++i) out[i * stride] = Mix64(keys[i] + offset);
       break;
     }
     case HashFamily::kMultiplyShift: {
       const uint64_t a = multiplier_;
       const uint64_t b = addend_;
-      for (size_t i = 0; i < n; ++i) out[i] = Mix64(a * keys[i] + b);
+      for (size_t i = 0; i < n; ++i) out[i * stride] = Mix64(a * keys[i] + b);
       break;
     }
     case HashFamily::kTabulation: {
@@ -79,7 +79,7 @@ void RowHasher::HashBatch(std::span<const uint64_t> keys,
         for (int byte = 0; byte < 8; ++byte) {
           h ^= tables[byte][(key >> (8 * byte)) & 0xff];
         }
-        out[i] = h;
+        out[i * stride] = h;
       }
       break;
     }
@@ -108,11 +108,13 @@ void HashFunctionBank::HashAll(uint64_t key,
 }
 
 void HashFunctionBank::HashAllBatch(std::span<const uint64_t> keys,
-                                    std::vector<uint64_t>* out) const {
+                                    int lanes, uint64_t* out) const {
+  SANS_CHECK_GT(lanes, 0);
   const size_t n = keys.size();
-  out->resize(functions_.size() * n);
+  const size_t width = static_cast<size_t>(lanes);
   for (size_t f = 0; f < functions_.size(); ++f) {
-    functions_[f].HashBatch(keys, out->data() + f * n);
+    functions_[f].HashBatch(keys, out + (f / width) * n * width + f % width,
+                            width);
   }
 }
 

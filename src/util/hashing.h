@@ -22,8 +22,7 @@
 // interface. RowHasher is a value type that switches on the family
 // once per batch; HashFunctionBank stores RowHashers by value and
 // evaluates whole blocks of keys per function in flat loops
-// (HashAllBatch), so the per-key work is branch-free and
-// auto-vectorizable.
+// (HashAllBatch), so the per-key work is branch-free.
 
 #ifndef SANS_UTIL_HASHING_H_
 #define SANS_UTIL_HASHING_H_
@@ -138,9 +137,10 @@ class RowHasher {
     return 0;  // unreachable
   }
 
-  /// out[i] = Hash(keys[i]) for every i. One family switch per call;
-  /// each arm is a flat loop over the keys.
-  void HashBatch(std::span<const uint64_t> keys, uint64_t* out) const;
+  /// out[i * stride] = Hash(keys[i]) for every i. One family switch
+  /// per call; each arm is a flat loop over the keys.
+  void HashBatch(std::span<const uint64_t> keys, uint64_t* out,
+                 size_t stride = 1) const;
 
  private:
   uint64_t TabulationHash(uint64_t key) const {
@@ -162,9 +162,9 @@ class RowHasher {
 
 /// A bank of k independent hash functions from one family, seeded
 /// deterministically from a master seed. This is the object the
-/// min-hash signature computation consumes: HashAllBatch(rows, out)
-/// yields every row's hash under each of the k implicit permutations,
-/// with no per-row indirection.
+/// min-hash signature computation consumes: HashAllBatch(rows, lanes,
+/// out) yields every row's hash under each of the k implicit
+/// permutations, with no per-row indirection.
 class HashFunctionBank {
  public:
   /// Creates `count` functions from `family`, derived from `seed`.
@@ -187,12 +187,17 @@ class HashFunctionBank {
   void HashAll(uint64_t key, std::vector<uint64_t>* out) const;
 
   /// Batched evaluation: hashes every key under every function into
-  /// `out`, resized to count() * keys.size() and laid out hash-major —
-  /// (*out)[f * keys.size() + i] = h_f(keys[i]) — so one function's
-  /// values over the block are contiguous. Each function runs as one
-  /// flat pass over the keys (see RowHasher::HashBatch).
-  void HashAllBatch(std::span<const uint64_t> keys,
-                    std::vector<uint64_t>* out) const;
+  /// `out`, with the functions taken in groups of `lanes` and each
+  /// key's values for one group adjacent:
+  ///   out[((f / lanes) * n + i) * lanes + f % lanes] = h_f(keys[i])
+  /// for n = keys.size(). `out` must hold ceil(count() / lanes) *
+  /// lanes * n values; the lanes of a partial last group are not
+  /// written. lanes = 1 is the hash-major layout (one function's
+  /// values over the block contiguous); the Min-Hash kernel uses 8,
+  /// one cache line per (group, key). Each function runs as one flat
+  /// pass over the keys (see RowHasher::HashBatch).
+  void HashAllBatch(std::span<const uint64_t> keys, int lanes,
+                    uint64_t* out) const;
 
  private:
   HashFamily family_;

@@ -56,11 +56,16 @@ grep -q '"rows_scanned"' report.json
 grep -q '"phases"' report.json
 grep -q '"1-signatures"' report.json
 grep -q '"candidates_generated"' report.json
+# Per-phase CPU time and peak RSS, and the Min-Hash kernel variant.
+grep -q '"cpu_s": ' report.json
+grep -q '"peak_rss_mb": ' report.json
+grep -Eq '"minhash_kernel": "(avx512f|avx2|baseline)"' report.json
 # Every run, checkpointed or not, carries its span trace.
 grep -q '{"name":"run"' report.json
 # The CLI prints the phase table alongside the pairs.
 grep -q '^total' mine_report.err
 grep -q 'rows scanned:' mine_report.err
+grep -q '^min-hash kernel: ' mine_report.err
 
 echo "== truth matches mh =="
 "$SANS_BIN" truth --in corpus.sans --threshold 0.6 > truth.out

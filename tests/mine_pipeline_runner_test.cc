@@ -13,6 +13,7 @@
 #include "mine/kmh_miner.h"
 #include "mine/mh_miner.h"
 #include "mine/mlsh_miner.h"
+#include "sketch/sketch_kernels.h"
 
 namespace sans {
 namespace {
@@ -180,6 +181,47 @@ TEST_F(PipelineRunnerTest, RunReportCapturesPhasesAndCounts) {
                          std::istreambuf_iterator<char>());
   EXPECT_EQ(json, RenderRunReportJson(report));
   EXPECT_NE(json.find("\"algorithm\": \"mlsh\""), std::string::npos);
+}
+
+TEST_F(PipelineRunnerTest, RunReportRecordsCpuAndPeakRss) {
+  // Large enough that the signature scan takes measurable CPU time.
+  SyntheticConfig data;
+  data.num_rows = 20000;
+  data.num_cols = 200;
+  data.bands = {{4, 70.0, 90.0}};
+  data.spread_pairs = false;
+  data.seed = 23;
+  auto dataset = GenerateSynthetic(data);
+  ASSERT_TRUE(dataset.ok());
+  InMemorySource source(&dataset->matrix);
+  MhMinerConfig mh;
+  mh.min_hash.num_hashes = 100;
+  mh.min_hash.seed = 3;
+  for (int threads : {1, 3}) {
+    PipelineConfig config = Config("");
+    config.execution.num_threads = threads;
+    MhMiner miner(mh);
+    auto summary = PipelineRunner(config).Run(miner, source);
+    ASSERT_TRUE(summary.ok());
+    const RunReport& report = summary->run_report;
+    ASSERT_EQ(report.phases.size(), 3u);
+    EXPECT_EQ(report.phases[0].name, "1-signatures");
+    EXPECT_GT(report.phases[0].cpu_s, 0.0) << "threads=" << threads;
+    double previous_peak = 0.0;
+    for (const RunReport::Phase& phase : report.phases) {
+      EXPECT_GE(phase.cpu_s, 0.0) << phase.name;
+      EXPECT_GT(phase.peak_rss_mb, 0.0) << phase.name;
+      EXPECT_GE(phase.peak_rss_mb, previous_peak) << phase.name;
+      previous_peak = phase.peak_rss_mb;
+    }
+    EXPECT_EQ(report.minhash_kernel, MinHashIsaName(SelectedMinHashIsa()));
+    const std::string json = RenderRunReportJson(report);
+    EXPECT_NE(json.find("\"cpu_s\": "), std::string::npos);
+    EXPECT_NE(json.find("\"peak_rss_mb\": "), std::string::npos);
+    EXPECT_NE(json.find("\"minhash_kernel\": \"" + report.minhash_kernel +
+                        "\""),
+              std::string::npos);
+  }
 }
 
 TEST_F(PipelineRunnerTest, FullResumeReusesEveryStage) {

@@ -116,6 +116,7 @@ TEST(RunReportTest, JsonContainsAllSections) {
   report.threads = 2;
   report.phases.push_back(RunReport::Phase{"1-signatures", 1.5});
   report.phases.push_back(RunReport::Phase{"3-verify", 0.5});
+  report.minhash_kernel = "avx2";
   report.rows_scanned = 100;
   report.candidates_generated = 10;
   report.candidates_verified = 10;
@@ -130,6 +131,7 @@ TEST(RunReportTest, JsonContainsAllSections) {
   EXPECT_NE(json.find("\"table_rows\": 100"), std::string::npos);
   EXPECT_NE(json.find("\"name\": \"1-signatures\""), std::string::npos);
   EXPECT_NE(json.find("\"true_positives\": 7"), std::string::npos);
+  EXPECT_NE(json.find("\"minhash_kernel\": \"avx2\""), std::string::npos);
   EXPECT_NE(json.find("\"sans_scan_rows_total\": 100"), std::string::npos);
   // The trace is embedded as raw JSON, not a quoted string.
   EXPECT_NE(json.find("\"trace\": [{\"name\":\"run\"}]"),
@@ -156,6 +158,33 @@ TEST(RunReportTest, PhaseTableAlignsAndTotals) {
   EXPECT_NE(table.find("total"), std::string::npos);
   EXPECT_NE(table.find("rows scanned: 42"), std::string::npos);
   EXPECT_NE(table.find("pairs: 5"), std::string::npos);
+}
+
+TEST(RunReportTest, PhasesCarryCpuAndPeakRss) {
+  RunReport report;
+  report.phases.push_back(RunReport::Phase{"1-signatures", 3.0, 11.5, 40.25});
+  report.phases.push_back(RunReport::Phase{"2-candidates", 1.0, 0.5, 52.0});
+  report.minhash_kernel = "avx512f";
+  const std::string json = RenderRunReportJson(report);
+  EXPECT_NE(json.find("{\"name\": \"1-signatures\", \"seconds\": 3.000000, "
+                      "\"cpu_s\": 11.500000, \"peak_rss_mb\": 40.250000}"),
+            std::string::npos);
+  const std::string table = RenderPhaseTable(report);
+  EXPECT_NE(table.find("cpu_s"), std::string::npos);
+  EXPECT_NE(table.find("11.500"), std::string::npos);
+  EXPECT_NE(table.find("12.000"), std::string::npos);  // total CPU
+  EXPECT_NE(table.find("52.0"), std::string::npos);    // peak of peaks
+  EXPECT_NE(table.find("min-hash kernel: avx512f"), std::string::npos);
+}
+
+TEST(RunReportTest, ResourceUsageIsMonotone) {
+  const ResourceUsage first = ResourceUsage::Now();
+  volatile uint64_t sink = 0;
+  for (uint64_t i = 0; i < 20'000'000; ++i) sink = sink + i;
+  const ResourceUsage second = ResourceUsage::Now();
+  EXPECT_GT(first.peak_rss_mb, 0.0);
+  EXPECT_GE(second.peak_rss_mb, first.peak_rss_mb);
+  EXPECT_GT(second.cpu_s, first.cpu_s);
 }
 
 TEST(RunReportTest, WriteRunReportFailsOnBadPath) {

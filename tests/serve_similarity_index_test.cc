@@ -11,7 +11,9 @@
 #include "data/synthetic_generator.h"
 #include "matrix/row_stream.h"
 #include "util/checksum_io.h"
+#include "util/crc32c.h"
 #include "util/endian.h"
+#include "util/hashing.h"
 
 namespace sans {
 namespace {
@@ -117,6 +119,40 @@ TEST_F(SimilarityIndexTest, LoadedIndexIsReusable) {
     const auto b = second->Sketch(c);
     ASSERT_EQ(a.size(), b.size());
     EXPECT_TRUE(std::equal(a.begin(), a.end(), b.begin()));
+  }
+}
+
+TEST_F(SimilarityIndexTest, IndexFileBytesArePinned) {
+  // A fixed table built from Mix64 alone; r * l = 15 band rows, so the
+  // Min-Hash pass has a partial last lane group. Pinned from the
+  // hash-row-at-a-time Min-Hash kernel that preceded the
+  // lane-interleaved one; the file must not change at any thread count.
+  const RowId num_rows = 1500;
+  const ColumnId num_cols = 40;
+  std::vector<std::vector<ColumnId>> rows(num_rows);
+  for (RowId r = 0; r < num_rows; ++r) {
+    for (ColumnId c = 0; c < num_cols; ++c) {
+      if (c != 11 && Mix64(uint64_t{r} << 8 | c) % 100 < 2 + c) {
+        rows[r].push_back(c);
+      }
+    }
+  }
+  auto matrix = BinaryMatrix::FromRows(num_rows, num_cols, rows);
+  ASSERT_TRUE(matrix.ok());
+  SimilarityIndexConfig config;
+  config.sketch_k = 32;
+  config.rows_per_band = 3;
+  config.num_bands = 5;
+  config.seed = 29;
+  for (int threads : {1, 3}) {
+    config.execution.num_threads = threads;
+    const std::string path = Path("pinned.sidx");
+    ASSERT_TRUE(
+        IndexBuilder(config).Build(InMemorySource(&*matrix), path).ok());
+    const std::vector<char> bytes = ReadAll(path);
+    EXPECT_EQ(bytes.size(), 12900u) << "threads=" << threads;
+    EXPECT_EQ(Crc32c(bytes.data(), bytes.size()), 0xb6abe418u)
+        << "threads=" << threads;
   }
 }
 

@@ -2,12 +2,18 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <cstdio>
 #include <limits>
 #include <memory>
+#include <string>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "matrix/binary_matrix.h"
+#include "matrix/block_reader.h"
 #include "matrix/row_stream.h"
 #include "sketch/incremental.h"
 #include "sketch/k_min_hash.h"
@@ -175,6 +181,35 @@ BinaryMatrix KernelTestMatrix() {
   return std::move(m).value();
 }
 
+// Per row, per column, per hash, through the checked MinUpdate, with
+// the clamp applied per value.
+SignatureMatrix NaiveMinHash(const BinaryMatrix& m,
+                             const MinHashConfig& config) {
+  HashFunctionBank bank(config.family, config.num_hashes, config.seed);
+  SignatureMatrix naive(config.num_hashes, m.num_cols());
+  InMemoryRowStream stream(&m);
+  EXPECT_TRUE(stream.Reset().ok());
+  RowView view;
+  while (stream.Next(&view)) {
+    for (ColumnId c : view.columns) {
+      for (int l = 0; l < config.num_hashes; ++l) {
+        naive.MinUpdate(l, c, ClampRowHash(bank.Hash(l, view.row)));
+      }
+    }
+  }
+  return naive;
+}
+
+void ExpectSameSignatures(const SignatureMatrix& a, const SignatureMatrix& b) {
+  ASSERT_EQ(a.num_hashes(), b.num_hashes());
+  ASSERT_EQ(a.num_cols(), b.num_cols());
+  for (int l = 0; l < a.num_hashes(); ++l) {
+    for (ColumnId c = 0; c < a.num_cols(); ++c) {
+      ASSERT_EQ(a.Value(l, c), b.Value(l, c)) << "l=" << l << " c=" << c;
+    }
+  }
+}
+
 class BlockedKernelIdentityTest
     : public ::testing::TestWithParam<HashFamily> {};
 
@@ -189,30 +224,8 @@ TEST_P(BlockedKernelIdentityTest, MinHashMatchesNaiveReference) {
   InMemoryRowStream stream(&m);
   auto blocked = generator.Compute(&stream);
   ASSERT_TRUE(blocked.ok());
-
-  // Naive reference: per row, per column, per hash, through the
-  // checked MinUpdate, with the clamp applied per value.
-  HashFunctionBank bank(config.family, config.num_hashes, config.seed);
-  SignatureMatrix naive(config.num_hashes, m.num_cols());
-  InMemoryRowStream naive_stream(&m);
-  ASSERT_TRUE(naive_stream.Reset().ok());
-  RowView view;
-  while (naive_stream.Next(&view)) {
-    if (view.columns.empty()) continue;
-    for (ColumnId c : view.columns) {
-      for (int l = 0; l < config.num_hashes; ++l) {
-        naive.MinUpdate(l, c, ClampRowHash(bank.Hash(l, view.row)));
-      }
-    }
-  }
-
-  for (int l = 0; l < config.num_hashes; ++l) {
-    for (ColumnId c = 0; c < m.num_cols(); ++c) {
-      ASSERT_EQ(blocked->Value(l, c), naive.Value(l, c))
-          << "family=" << HashFamilyToString(config.family) << " l=" << l
-          << " c=" << c;
-    }
-  }
+  SCOPED_TRACE(std::string("family=") + HashFamilyToString(config.family));
+  ExpectSameSignatures(*blocked, NaiveMinHash(m, config));
 }
 
 TEST_P(BlockedKernelIdentityTest, KMinHashMatchesIncrementalBuilder) {
@@ -249,6 +262,167 @@ INSTANTIATE_TEST_SUITE_P(AllFamilies, BlockedKernelIdentityTest,
                          ::testing::Values(HashFamily::kSplitMix64,
                                            HashFamily::kMultiplyShift,
                                            HashFamily::kTabulation));
+
+// ---- The Min-Hash kernel against the naive reference, per k ----
+
+// The bank derives function f's seed as Mix64(master + 0x100000001b3 *
+// (f + 1)); this master seed makes splitmix64 function `f` hash row 0
+// to exactly UINT64_MAX.
+uint64_t MasterSeedForcingSentinel(int f) {
+  return InvMix64(SentinelSeedForKeyZero()) -
+         0x100000001b3ULL * static_cast<uint64_t>(f + 1);
+}
+
+// Spans several kSketchBlockRows blocks. Row 0 (the forced-sentinel
+// row) holds columns 0 and 1 only, so column 0's last function keeps
+// the clamped value kMax - 1; columns 41 and 59 are never touched;
+// some rows are empty.
+BinaryMatrix SweepMatrix() {
+  const RowId num_rows = 2 * kSketchBlockRows + 45;
+  const ColumnId num_cols = 60;
+  std::vector<std::vector<ColumnId>> rows(num_rows);
+  rows[0] = {0, 1};
+  for (RowId r = 1; r < num_rows; ++r) {
+    for (ColumnId c = 1; c < num_cols; ++c) {
+      if (c == 41 || c == 59) continue;
+      if (Mix64(r * 131 + c + 7) % 100 < 9) rows[r].push_back(c);
+    }
+  }
+  auto m = BinaryMatrix::FromRows(num_rows, num_cols, rows);
+  EXPECT_TRUE(m.ok());
+  return std::move(m).value();
+}
+
+class BlockedKernelSweepTest
+    : public ::testing::TestWithParam<std::tuple<HashFamily, int>> {};
+
+TEST_P(BlockedKernelSweepTest, MatchesNaiveReference) {
+  const auto [family, num_hashes] = GetParam();
+  const BinaryMatrix m = SweepMatrix();
+  MinHashConfig config;
+  config.num_hashes = num_hashes;
+  config.family = family;
+  config.seed = MasterSeedForcingSentinel(num_hashes - 1);
+  const bool forced = family == HashFamily::kSplitMix64;
+  if (forced) {
+    // Precondition: the last function (the tail lane when k is not a
+    // multiple of 8) really hashes row 0 to the sentinel.
+    HashFunctionBank bank(family, num_hashes, config.seed);
+    ASSERT_EQ(bank.Hash(num_hashes - 1, 0), kMax);
+  }
+
+  MinHashGenerator generator(config);
+  InMemoryRowStream stream(&m);
+  auto blocked = generator.Compute(&stream);
+  ASSERT_TRUE(blocked.ok());
+  ExpectSameSignatures(*blocked, NaiveMinHash(m, config));
+
+  EXPECT_TRUE(blocked->ColumnEmpty(41));
+  EXPECT_TRUE(blocked->ColumnEmpty(59));
+  for (int l = 0; l < num_hashes; ++l) {
+    EXPECT_EQ(blocked->Value(l, 41), kEmptyMinHash);
+    EXPECT_EQ(blocked->Value(l, 59), kEmptyMinHash);
+  }
+  EXPECT_FALSE(blocked->ColumnEmpty(0));
+  if (forced) {
+    EXPECT_EQ(blocked->Value(num_hashes - 1, 0), kMax - 1);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    FamiliesAndK, BlockedKernelSweepTest,
+    ::testing::Combine(::testing::Values(HashFamily::kSplitMix64,
+                                         HashFamily::kMultiplyShift,
+                                         HashFamily::kTabulation),
+                       ::testing::Values(1, 7, 8, 9, 33, 64, 100)),
+    [](const auto& info) {
+      std::string family = HashFamilyToString(std::get<0>(info.param));
+      family.erase(std::remove(family.begin(), family.end(), '-'),
+                   family.end());
+      return family + "_k" + std::to_string(std::get<1>(info.param));
+    });
+
+TEST(BlockedKernelLaneGroupsTest, CoverKExactlyWithNarrowerTail) {
+  using Groups = std::vector<std::pair<size_t, size_t>>;
+  const auto groups = [](int k) {
+    Groups out;
+    for (const MinHashLaneGroup& g : MinHashLaneGroups(k)) {
+      out.emplace_back(g.first, g.width);
+    }
+    return out;
+  };
+  EXPECT_EQ(groups(1), (Groups{{0, 1}}));
+  EXPECT_EQ(groups(7), (Groups{{0, 4}, {4, 2}, {6, 1}}));
+  EXPECT_EQ(groups(8), (Groups{{0, 8}}));
+  EXPECT_EQ(groups(9), (Groups{{0, 8}, {8, 1}}));
+  EXPECT_EQ(groups(15), (Groups{{0, 8}, {8, 4}, {12, 2}, {14, 1}}));
+  // k = 100: twelve 8-lane groups and one 4-lane tail, no padding.
+  const Groups hundred = groups(100);
+  ASSERT_EQ(hundred.size(), 13u);
+  for (size_t g = 0; g < 12; ++g) {
+    EXPECT_EQ(hundred[g], (std::pair<size_t, size_t>{8 * g, 8}));
+  }
+  EXPECT_EQ(hundred.back(), (std::pair<size_t, size_t>{96, 4}));
+}
+
+// ---- Every instruction-set variant against the baseline one ----
+
+// Drives kernels of variant `isa` directly: the matrix's rows go in
+// blocks of 100, block b to kernel b % parts, and the kernels are
+// merged in order, as the parallel workers are.
+SignatureMatrix KernelSignatures(const BinaryMatrix& m,
+                                 const HashFunctionBank& bank,
+                                 MinHashIsa isa, int parts) {
+  std::vector<MinHashBlockKernel> kernels;
+  for (int p = 0; p < parts; ++p) {
+    kernels.emplace_back(&bank, m.num_cols(), isa);
+  }
+  RowBlock block;
+  size_t blocks = 0;
+  for (RowId r = 0; r < m.num_rows(); ++r) {
+    block.Append(r, m.Row(r));
+    if (block.size() == 100 || r + 1 == m.num_rows()) {
+      kernels[blocks++ % parts].Process(block);
+      block.Clear();
+    }
+  }
+  for (int p = 1; p < parts; ++p) kernels[0].Merge(kernels[p]);
+  return kernels[0].TakeSignatures();
+}
+
+TEST(BlockedKernelIsaTest, SelectionIsTheBestRunnableVariant) {
+  const std::vector<MinHashIsa> runnable = internal::RunnableMinHashIsas();
+  ASSERT_FALSE(runnable.empty());
+  EXPECT_EQ(runnable.front(), MinHashIsa::kBaseline);
+  EXPECT_EQ(SelectedMinHashIsa(), runnable.back());
+  for (MinHashIsa isa : runnable) {
+    std::printf("[ runnable ] %s\n", MinHashIsaName(isa));
+  }
+}
+
+TEST(BlockedKernelIsaTest, EveryRunnableVariantMatchesBaseline) {
+  const BinaryMatrix m = SweepMatrix();
+  for (HashFamily family : {HashFamily::kSplitMix64,
+                            HashFamily::kMultiplyShift,
+                            HashFamily::kTabulation}) {
+    for (int num_hashes : {1, 9, 64, 100}) {
+      const HashFunctionBank bank(family, num_hashes,
+                                  MasterSeedForcingSentinel(num_hashes - 1));
+      const SignatureMatrix baseline =
+          KernelSignatures(m, bank, MinHashIsa::kBaseline, 1);
+      for (MinHashIsa isa : internal::RunnableMinHashIsas()) {
+        for (int parts : {1, 3}) {
+          SCOPED_TRACE(std::string(MinHashIsaName(isa)) + " " +
+                       HashFamilyToString(family) +
+                       " k=" + std::to_string(num_hashes) +
+                       " parts=" + std::to_string(parts));
+          ExpectSameSignatures(KernelSignatures(m, bank, isa, parts),
+                               baseline);
+        }
+      }
+    }
+  }
+}
 
 // ---- Regression: multiply-shift must estimate as well as splitmix ----
 

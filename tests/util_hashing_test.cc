@@ -124,14 +124,34 @@ TEST_P(HashFunctionBankTest, HashAllBatchMatchesHashAll) {
   HashFunctionBank bank(GetParam(), 6, 19);
   std::vector<uint64_t> keys;
   for (uint64_t x = 0; x < 300; ++x) keys.push_back(x * 17 + 3);
-  std::vector<uint64_t> batched;
-  bank.HashAllBatch(keys, &batched);
-  ASSERT_EQ(batched.size(), 6 * keys.size());
+  std::vector<uint64_t> batched(6 * keys.size());
+  bank.HashAllBatch(keys, 1, batched.data());
   // Hash-major layout: function f's values over the block are
   // contiguous at [f * n, (f + 1) * n).
   for (int f = 0; f < 6; ++f) {
     for (size_t i = 0; i < keys.size(); ++i) {
       EXPECT_EQ(batched[f * keys.size() + i], bank.Hash(f, keys[i]));
+    }
+  }
+}
+
+TEST_P(HashFunctionBankTest, HashAllBatchInterleavesLanes) {
+  // 11 functions in groups of 8: one full group and a 3-lane tail.
+  HashFunctionBank bank(GetParam(), 11, 23);
+  std::vector<uint64_t> keys;
+  for (uint64_t x = 0; x < 37; ++x) keys.push_back(Mix64(x));
+  const size_t n = keys.size();
+  constexpr uint64_t kUnwritten = 0x5a5a5a5a5a5a5a5aULL;
+  std::vector<uint64_t> batched(2 * 8 * n, kUnwritten);
+  bank.HashAllBatch(keys, 8, batched.data());
+  for (size_t i = 0; i < n; ++i) {
+    for (int f = 0; f < 16; ++f) {
+      const uint64_t value = batched[((f / 8) * n + i) * 8 + f % 8];
+      if (f < 11) {
+        EXPECT_EQ(value, bank.Hash(f, keys[i])) << "f=" << f << " i=" << i;
+      } else {
+        EXPECT_EQ(value, kUnwritten) << "f=" << f << " i=" << i;
+      }
     }
   }
 }
