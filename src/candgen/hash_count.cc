@@ -127,7 +127,7 @@ CandidateSet CountBucketCollisions(ColumnId num_cols, int num_tables,
                                    ThreadPool* pool, const KeysFn& keys,
                                    const KeepFn& keep) {
   const BucketTables tables = BuildBucketTables(num_cols, num_tables, keys);
-  const int workers = pool == nullptr ? 1 : pool->num_threads();
+  const int workers = PoolWorkers(pool);
   const std::vector<ColumnId> bounds = SplitByWork(
       tables, num_cols, workers == 1 ? 1 : workers * kRangesPerWorker);
   const int64_t num_ranges = static_cast<int64_t>(bounds.size()) - 1;
@@ -175,9 +175,7 @@ CandidateSet CountBucketCollisions(ColumnId num_cols, int num_tables,
     return Status::OK();
   };
   // Workers cannot fail; a null pool runs the one worker inline.
-  const Status probed =
-      pool == nullptr ? worker(0) : pool->ParallelFor(workers, worker);
-  SANS_CHECK(probed.ok());
+  SANS_CHECK(ParallelFor(pool, workers, worker).ok());
 
   CandidateSet candidates;
   for (const std::vector<Match>& range : matches) {

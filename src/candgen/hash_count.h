@@ -65,8 +65,8 @@ CandidateSet HashCountMinHash(const SignatureMatrix& signatures,
                               int min_agreements);
 
 /// The same counts with the probe spread over `pool`. A null or
-/// 1-thread pool probes inline; the sequential functions above are
-/// these with a null pool. Output is identical for every pool.
+/// 1-thread pool probes inline; the functions above are these with a
+/// null pool. Output is identical for every pool.
 Result<CandidateSet> HashCountKMinHashParallel(const KMinHashSketch& sketch,
                                                uint64_t min_intersection,
                                                ThreadPool* pool);

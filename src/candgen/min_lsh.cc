@@ -1,6 +1,8 @@
 #include "candgen/min_lsh.h"
 
+#include <algorithm>
 #include <unordered_map>
+#include <utility>
 
 #include "obs/metrics.h"
 #include "util/hashing.h"
@@ -77,8 +79,7 @@ void MinLshCandidateGenerator::CollectBandCandidates(
       }
     }
   }
-  // Shared by the sequential loop and the per-band ParallelFor; the
-  // counters are atomic, so concurrent bands add up correctly.
+  // The counters are atomic, so concurrent workers add up correctly.
   MetricsRegistry& registry = MetricsRegistry::Global();
   static Counter* const bands_counter =
       registry.GetCounter("sans_candgen_bands_total");
@@ -89,11 +90,6 @@ void MinLshCandidateGenerator::CollectBandCandidates(
   bands_counter->Increment();
   buckets_counter->Increment(buckets.size());
   bucket_pairs_counter->Increment(emitted);
-}
-
-Result<CandidateSet> MinLshCandidateGenerator::Generate(
-    const SignatureMatrix& signatures) const {
-  return Generate(signatures, nullptr);
 }
 
 Result<CandidateSet> MinLshCandidateGenerator::Generate(
@@ -108,30 +104,22 @@ Result<CandidateSet> MinLshCandidateGenerator::Generate(
     return Status::InvalidArgument("signature matrix has no hash rows");
   }
 
-  if (pool != nullptr && pool->num_threads() > 1) {
-    // One candidate set per band, merged in band order: counts sum to
-    // the number of bands a pair collided in, exactly the sequential
-    // accumulation.
-    std::vector<CandidateSet> per_band(config_.num_bands);
-    SANS_RETURN_IF_ERROR(pool->ParallelFor(
-        config_.num_bands, [&](int64_t band) -> Status {
-          CollectBandCandidates(signatures, static_cast<int>(band),
-                                &per_band[band]);
-          return Status::OK();
-        }));
-    CandidateSet candidates;
-    for (const CandidateSet& band : per_band) {
-      candidates.Merge(band);
+  // Worker w owns one candidate set and takes bands w, w + W, ...; the
+  // sets merge in worker order, so each count is the number of bands
+  // the pair collided in. One worker is the plain band loop.
+  const int workers = std::min(PoolWorkers(pool), config_.num_bands);
+  std::vector<CandidateSet> per_worker(workers);
+  SANS_RETURN_IF_ERROR(ParallelFor(pool, workers, [&](int64_t w) -> Status {
+    for (int band = static_cast<int>(w); band < config_.num_bands;
+         band += workers) {
+      CollectBandCandidates(signatures, band, &per_worker[w]);
     }
-    MetricsRegistry::Global()
-        .GetCounter("sans_candgen_candidates_total")
-        ->Increment(candidates.size());
-    return candidates;
-  }
-
-  CandidateSet candidates;
-  for (int band = 0; band < config_.num_bands; ++band) {
-    CollectBandCandidates(signatures, band, &candidates);
+    return Status::OK();
+  }));
+  CandidateSet candidates = std::move(per_worker[0]);
+  for (int w = 1; w < workers; ++w) {
+    candidates.Merge(per_worker[w]);
+    per_worker[w] = CandidateSet();
   }
   MetricsRegistry::Global()
       .GetCounter("sans_candgen_candidates_total")

@@ -47,16 +47,13 @@ class MinLshCandidateGenerator {
 
   /// Generates candidates. Returns InvalidArgument in banded mode if
   /// signatures.num_hashes() != rows_per_band * num_bands, or in
-  /// sampled mode if the matrix has no hash rows.
-  Result<CandidateSet> Generate(const SignatureMatrix& signatures) const;
-
-  /// Parallel variant: bands are processed independently on `pool`
-  /// (one CandidateSet per band, merged in band order — counts sum to
-  /// the number of bands a pair collided in, exactly the sequential
-  /// accumulation). A null or single-thread pool falls back to the
-  /// sequential path. Output is identical for any thread count.
+  /// sampled mode if the matrix has no hash rows. The bands are spread
+  /// over the pool's threads (one worker without a pool): each worker
+  /// collects its bands into one CandidateSet, and the sets merge in
+  /// worker order, so counts sum to the number of bands a pair
+  /// collided in. Output is identical for any thread count.
   Result<CandidateSet> Generate(const SignatureMatrix& signatures,
-                                ThreadPool* pool) const;
+                                ThreadPool* pool = nullptr) const;
 
   /// The r hash-row indices band `band` uses against a matrix with
   /// `available` rows (banded: a contiguous slice; sampled: seeded

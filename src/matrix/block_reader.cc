@@ -1,6 +1,5 @@
 #include "matrix/block_reader.h"
 
-#include <atomic>
 #include <memory>
 #include <utility>
 
@@ -57,6 +56,36 @@ void BlockQueue::Abort() {
   not_full_.notify_all();
 }
 
+int BlockWorkers(const ExecutionConfig& config, const ThreadPool* pool) {
+  return pool == nullptr ? 1 : config.num_threads;
+}
+
+Status ScanRowBlocks(RowStream* stream, size_t block_rows,
+                     const std::function<Status(RowBlock& block)>& sink) {
+  // Handles resolved once per process; hot-path updates are relaxed
+  // atomic adds.
+  MetricsRegistry& registry = MetricsRegistry::Global();
+  static Counter* const rows_scanned =
+      registry.GetCounter("sans_scan_rows_total");
+  static Counter* const blocks_produced =
+      registry.GetCounter("sans_pipeline_blocks_produced_total");
+  RowBlock block;
+  const auto emit = [&]() -> Status {
+    rows_scanned->Increment(block.size());
+    blocks_produced->Increment();
+    const Status status = sink(block);
+    block.Clear();
+    return status;
+  };
+  RowView view;
+  while (stream->Next(&view)) {
+    block.Append(view.row, view.columns);
+    if (block.size() >= block_rows) SANS_RETURN_IF_ERROR(emit());
+  }
+  SANS_RETURN_IF_ERROR(stream->stream_status());
+  return block.empty() ? Status::OK() : emit();
+}
+
 Status ForEachRowBlock(
     const RowStreamSource& source, const ExecutionConfig& config,
     ThreadPool* pool,
@@ -64,16 +93,7 @@ Status ForEachRowBlock(
   SANS_RETURN_IF_ERROR(config.Validate());
   SANS_ASSIGN_OR_RETURN(std::unique_ptr<RowStream> stream, source.Open());
   const size_t block_rows = static_cast<size_t>(config.block_rows);
-
-  // Handles resolved once per process; hot-path updates are relaxed
-  // atomic adds. Generators that bypass the block pipeline (the
-  // sequential fallbacks in mine/parallel) count rows themselves into
-  // the same counter, so every execution path counts exactly once.
   MetricsRegistry& registry = MetricsRegistry::Global();
-  static Counter* const rows_scanned =
-      registry.GetCounter("sans_scan_rows_total");
-  static Counter* const blocks_produced =
-      registry.GetCounter("sans_pipeline_blocks_produced_total");
   static Counter* const blocks_consumed =
       registry.GetCounter("sans_pipeline_blocks_consumed_total");
   static Gauge* const queue_depth =
@@ -81,92 +101,49 @@ Status ForEachRowBlock(
   static Counter* const stalls =
       registry.GetCounter("sans_pipeline_backpressure_stalls_total");
 
-  if (pool == nullptr || config.num_threads <= 1) {
-    RowBlock block;
-    RowView view;
-    while (stream->Next(&view)) {
-      block.Append(view.row, view.columns);
-      if (block.size() >= block_rows) {
-        rows_scanned->Increment(block.size());
-        blocks_produced->Increment();
-        blocks_consumed->Increment();
-        SANS_RETURN_IF_ERROR(consume(0, block));
-        block.Clear();
-      }
-    }
-    SANS_RETURN_IF_ERROR(stream->stream_status());
-    if (!block.empty()) {
-      rows_scanned->Increment(block.size());
-      blocks_produced->Increment();
+  const int workers = BlockWorkers(config, pool);
+  if (workers == 1) {
+    return ScanRowBlocks(stream.get(), block_rows, [&](RowBlock& block) {
       blocks_consumed->Increment();
-      SANS_RETURN_IF_ERROR(consume(0, block));
-    }
-    return Status::OK();
+      return consume(0, block);
+    });
   }
 
-  const int workers = config.num_threads;
   BlockQueue queue(static_cast<size_t>(config.queue_depth));
   queue.SetInstruments(queue_depth, stalls);
   std::vector<Status> worker_status(workers);
-  std::atomic<bool> worker_failed{false};
   std::mutex done_mu;
   std::condition_variable done_cv;
   int pending = workers;
-
   for (int w = 0; w < workers; ++w) {
-    pool->Submit([w, &queue, &consume, &worker_status, &worker_failed,
-                  &done_mu, &done_cv, &pending] {
+    pool->Submit([&, w] {
       RowBlock block;
       while (queue.Pop(&block)) {
         blocks_consumed->Increment();
-        const Status status = consume(w, block);
-        if (!status.ok()) {
-          worker_status[w] = status;
-          worker_failed.store(true, std::memory_order_release);
+        worker_status[w] = consume(w, block);
+        if (!worker_status[w].ok()) {
           queue.Abort();
           break;
         }
       }
       std::lock_guard<std::mutex> lock(done_mu);
-      if (--pending == 0) {
-        done_cv.notify_all();
-      }
+      if (--pending == 0) done_cv.notify_all();
     });
   }
 
   // The calling thread is the reader: the only thread touching the
-  // stream, so the source is scanned exactly once.
-  Status reader_status;
-  {
-    RowBlock block;
-    RowView view;
-    for (;;) {
-      if (worker_failed.load(std::memory_order_acquire)) {
-        break;
-      }
-      if (!stream->Next(&view)) {
-        reader_status = stream->stream_status();
-        if (reader_status.ok() && !block.empty()) {
-          const size_t rows = block.size();
-          if (queue.Push(std::move(block))) {
-            rows_scanned->Increment(rows);
-            blocks_produced->Increment();
-          }
-        }
-        break;
-      }
-      block.Append(view.row, view.columns);
-      if (block.size() >= block_rows) {
-        const size_t rows = block.size();
-        if (!queue.Push(std::move(block))) {
-          break;  // aborted by a failing worker
-        }
-        rows_scanned->Increment(rows);
-        blocks_produced->Increment();
-        block = RowBlock();
-      }
-    }
-  }
+  // stream, so the source is scanned exactly once, and its blocks come
+  // from the caller's allocator arena, which the previous phase freed.
+  // A failed Push means a failing worker aborted the queue; that
+  // worker's error is the one to report.
+  bool aborted = false;
+  Status reader_status =
+      ScanRowBlocks(stream.get(), block_rows, [&](RowBlock& block) {
+        if (queue.Push(std::move(block))) return Status::OK();
+        aborted = true;
+        return Status::Internal("block queue aborted");
+      });
+  if (aborted) reader_status = Status::OK();
   if (reader_status.ok()) {
     queue.Close();
   } else {

@@ -2,17 +2,16 @@
 // RowStreamSource exactly once, packs rows into fixed-size RowBlocks
 // (contiguous column-id storage, no per-row allocation) and hands
 // them to pool workers through a bounded MPMC queue with
-// backpressure.
+// backpressure. ScanRowBlocks is the only loop that turns rows into
+// blocks; one worker consumes them inline, with no queue.
 //
-// This replaces the old model where every worker re-read the entire
-// stream and skipped foreign rows (an N× I/O multiplier on
-// disk-resident tables). Determinism contract: on success every row
-// is delivered to exactly one worker exactly once, so any consumer
-// that accumulates per-worker partials mergeable by a commutative,
-// associative operation (element-wise min for min-hash signatures,
-// bottom-k multiset union for K-MH sketches, additive counters for
-// verification) reproduces the sequential result bit for bit when
-// the partials are merged in worker-id order.
+// Determinism contract: on success every row is delivered to exactly
+// one worker exactly once, so any consumer that accumulates
+// per-worker partials mergeable by a commutative, associative
+// operation (element-wise min for min-hash signatures, bottom-k
+// multiset union for K-MH sketches, additive counters for
+// verification) reproduces the one-worker result bit for bit when the
+// partials are merged in worker-id order.
 
 #ifndef SANS_MATRIX_BLOCK_READER_H_
 #define SANS_MATRIX_BLOCK_READER_H_
@@ -100,16 +99,27 @@ class BlockQueue {
   bool aborted_ = false;
 };
 
+// Workers of a ForEachRowBlock run: `config.num_threads` on a pool, 1
+// without one. Size per-worker state with it.
+int BlockWorkers(const ExecutionConfig& config, const ThreadPool* pool);
+
+// Reads `stream` to its end as RowBlocks of up to `block_rows` rows
+// (empty rows included) and hands each to `sink`, which may move from
+// it; counts the rows and blocks. Returns the first `sink` error, else
+// the stream status (a failed scan drops its last partial block).
+Status ScanRowBlocks(RowStream* stream, size_t block_rows,
+                     const std::function<Status(RowBlock& block)>& sink);
+
 // Scans `source` once on the calling thread and fans the rows out to
-// `config.num_threads` consumers running on `pool`, as RowBlocks of
-// up to `config.block_rows` rows. `consume(worker, block)` runs
-// concurrently across workers, but each worker id sees its own calls
-// sequentially, so per-worker state needs no locking. Empty rows are
-// included in blocks; consumers that ignore them must skip them, the
-// same as the sequential loops do.
+// BlockWorkers(config, pool) consumers running on `pool`, as
+// RowBlocks of up to `config.block_rows` rows. `consume(worker,
+// block)` runs concurrently across workers, but each worker id sees
+// its own calls sequentially, so per-worker state needs no locking.
+// Empty rows are included in blocks; consumers that ignore them must
+// skip them.
 //
-// With a null pool or num_threads <= 1 the blocks are consumed inline
-// on the calling thread with worker id 0 (no queue, no threads).
+// With one worker the blocks are consumed inline on the calling
+// thread with worker id 0 (no queue, no threads).
 //
 // Error priority is deterministic: a reader error (stream open or a
 // truncated/failed scan) wins over worker errors; worker errors are

@@ -1,17 +1,11 @@
-// Parallel phase-1/phase-3 execution on the single-scan block
-// pipeline (matrix/block_reader.h): one reader thread scans the
-// RowStreamSource exactly once, packs rows into RowBlocks and fans
-// them out to thread-pool workers through a bounded queue. Each
-// worker accumulates a private partial result; partials are merged
-// deterministically in worker-id order — element-wise min for
-// min-hash signatures, bottom-k multiset union (then dedup) for
-// K-Min-Hash sketches, additive union/intersection counters for
-// verification — so every function here is bit-identical to its
-// sequential counterpart for any thread count, block size, or
-// scheduling.
-//
-// With a null pool or execution.num_threads <= 1, each function runs
-// the plain sequential implementation (the reference path).
+// Phase-1/phase-3 scans on the single-scan block pipeline
+// (matrix/block_reader.h), at every thread count: each of the
+// BlockWorkers(execution, pool) workers feeds its own accumulator
+// (MinHashBlockKernel, IncrementalKMinHashBuilder, PairCounter), and
+// the accumulators merge in worker-id order — element-wise min,
+// bottom-k multiset union (then dedup), additive counts — so every
+// result is bit-identical for any thread count, block size, or
+// scheduling. One worker runs inline on the calling thread.
 
 #ifndef SANS_MINE_PARALLEL_H_
 #define SANS_MINE_PARALLEL_H_
@@ -27,8 +21,7 @@
 
 namespace sans {
 
-/// Computes min-hash signatures over one scan of `source`, fanned out
-/// to `execution.num_threads` workers on `pool`.
+/// Computes min-hash signatures over one scan of `source`.
 Result<SignatureMatrix> ComputeMinHashParallel(const RowStreamSource& source,
                                                const MinHashConfig& config,
                                                const ExecutionConfig& execution,
@@ -38,7 +31,7 @@ Result<SignatureMatrix> ComputeMinHashParallel(const RowStreamSource& source,
 /// scan. Per-worker memory is one k-bounded heap per column; the
 /// merged column signature is the k smallest values across workers
 /// with duplicates retained until the final dedup, which is exactly
-/// what the sequential single heap retains.
+/// what one heap over the whole scan retains.
 Result<KMinHashSketch> ComputeKMinHashParallel(const RowStreamSource& source,
                                                const KMinHashConfig& config,
                                                const ExecutionConfig& execution,
@@ -50,8 +43,7 @@ Result<std::vector<VerifiedPair>> CountCandidatePairsParallel(
     const RowStreamSource& source, const std::vector<ColumnPair>& candidates,
     const ExecutionConfig& execution, ThreadPool* pool);
 
-/// Parallel counterpart of VerifyCandidates: counts via
-/// CountCandidatePairsParallel, then keeps pairs with exact
+/// Counts via CountCandidatePairsParallel, then keeps pairs with exact
 /// similarity >= threshold, sorted by descending similarity.
 Result<std::vector<SimilarPair>> VerifyCandidatesParallel(
     const RowStreamSource& source, const std::vector<ColumnPair>& candidates,

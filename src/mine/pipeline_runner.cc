@@ -232,7 +232,7 @@ Result<PipelineRunSummary> PipelineRunner::Run(
                     config_.resilience.degraded_mode;
   const RowStreamSource& scan =
       wrap ? static_cast<const RowStreamSource&>(resilient) : source;
-  // One pool shared by all stages (null => sequential reference path).
+  // One pool shared by all stages (null => one worker, inline).
   const std::unique_ptr<ThreadPool> pool = MaybeCreatePool(config_.execution);
 
   // Observability: counter deltas over this run against the global

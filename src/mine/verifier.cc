@@ -1,94 +1,90 @@
 #include "mine/verifier.h"
 
-#include <algorithm>
+#include <utility>
 
-#include "mine/miner.h"
+#include "mine/parallel.h"
 #include "obs/metrics.h"
 
 namespace sans {
 
-Result<std::vector<VerifiedPair>> CountCandidatePairs(
-    RowStream* rows, const std::vector<ColumnPair>& candidates) {
-  SANS_RETURN_IF_ERROR(rows->Reset());
-  const ColumnId m = rows->num_cols();
-
-  std::vector<VerifiedPair> verified(candidates.size());
+Result<PairCounter> PairCounter::Create(
+    const std::vector<ColumnPair>& candidates, ColumnId num_cols) {
+  PairCounter counter;
+  counter.counts_.resize(candidates.size());
+  counter.present_.assign(candidates.size(), 0);
+  auto index = std::make_shared<std::vector<std::vector<uint32_t>>>(num_cols);
   for (size_t i = 0; i < candidates.size(); ++i) {
     if (candidates[i].first == candidates[i].second) {
       return Status::InvalidArgument("candidate pair with equal columns");
     }
-    if (candidates[i].second >= m) {
+    if (candidates[i].second >= num_cols) {
       return Status::OutOfRange("candidate column exceeds table width");
     }
-    verified[i].pair = candidates[i];
+    counter.counts_[i].pair = candidates[i];
+    (*index)[candidates[i].first].push_back(static_cast<uint32_t>(i));
+    (*index)[candidates[i].second].push_back(static_cast<uint32_t>(i));
   }
-
-  // column -> indices of candidates containing it.
-  std::vector<std::vector<uint32_t>> column_to_candidates(m);
-  for (size_t i = 0; i < candidates.size(); ++i) {
-    column_to_candidates[candidates[i].first].push_back(
-        static_cast<uint32_t>(i));
-    column_to_candidates[candidates[i].second].push_back(
-        static_cast<uint32_t>(i));
-  }
-
-  // This sequential scan bypasses the block pipeline (the parallel
-  // verifier counts rows through ForEachRowBlock instead).
-  static Counter* const rows_scanned =
-      MetricsRegistry::Global().GetCounter("sans_scan_rows_total");
+  counter.index_ = std::move(index);
+  // One verification, one count, at any thread count.
   static Counter* const verified_counter =
       MetricsRegistry::Global().GetCounter("sans_verify_candidates_total");
   verified_counter->Increment(candidates.size());
+  return counter;
+}
 
-  // Per-row scratch: how many of a candidate's two columns appear in
-  // the current row (1 => union only, 2 => union + intersection).
-  std::vector<uint8_t> present(candidates.size(), 0);
-  std::vector<uint32_t> touched;
-  uint64_t rows_seen = 0;
-  RowView view;
-  while (rows->Next(&view)) {
-    ++rows_seen;
-    touched.clear();
-    for (ColumnId c : view.columns) {
-      for (uint32_t idx : column_to_candidates[c]) {
-        if (present[idx] == 0) touched.push_back(idx);
-        ++present[idx];
+PairCounter PairCounter::Fork() const {
+  PairCounter fork = *this;
+  for (VerifiedPair& v : fork.counts_) v.union_count = v.intersection_count = 0;
+  return fork;
+}
+
+void PairCounter::Process(const RowBlock& block) {
+  const std::vector<std::vector<uint32_t>>& index = *index_;
+  for (size_t r = 0; r < block.size(); ++r) {
+    touched_.clear();
+    for (ColumnId c : block.columns(r)) {
+      for (uint32_t idx : index[c]) {
+        if (present_[idx] == 0) touched_.push_back(idx);
+        ++present_[idx];
       }
     }
-    for (uint32_t idx : touched) {
-      ++verified[idx].union_count;
-      if (present[idx] == 2) ++verified[idx].intersection_count;
-      present[idx] = 0;
+    for (uint32_t idx : touched_) {
+      ++counts_[idx].union_count;
+      if (present_[idx] == 2) ++counts_[idx].intersection_count;
+      present_[idx] = 0;
     }
   }
-  rows_scanned->Increment(rows_seen);
+}
+
+void PairCounter::Merge(PairCounter& other) {
+  for (size_t i = 0; i < counts_.size(); ++i) {
+    counts_[i].union_count += other.counts_[i].union_count;
+    counts_[i].intersection_count += other.counts_[i].intersection_count;
+  }
+  other.counts_ = {};
+  other.present_ = {};
+}
+
+Result<std::vector<VerifiedPair>> CountCandidatePairs(
+    RowStream* rows, const std::vector<ColumnPair>& candidates) {
+  SANS_RETURN_IF_ERROR(rows->Reset());
+  SANS_ASSIGN_OR_RETURN(PairCounter counter,
+                        PairCounter::Create(candidates, rows->num_cols()));
   // Counts from a truncated verification scan would understate unions
-  // and intersections — surface the stream error instead.
-  SANS_RETURN_IF_ERROR(rows->stream_status());
-  return verified;
+  // and intersections; the scan's error is returned instead.
+  SANS_RETURN_IF_ERROR(ScanRowBlocks(rows, ExecutionConfig().block_rows,
+                                     [&counter](RowBlock& block) {
+                                       counter.Process(block);
+                                       return Status::OK();
+                                     }));
+  return counter.Take();
 }
 
 Result<std::vector<SimilarPair>> VerifyCandidates(
     const RowStreamSource& source, const std::vector<ColumnPair>& candidates,
     double threshold) {
-  SANS_ASSIGN_OR_RETURN(std::unique_ptr<RowStream> stream, source.Open());
-  SANS_ASSIGN_OR_RETURN(std::vector<VerifiedPair> verified,
-                        CountCandidatePairs(stream.get(), candidates));
-  static Counter* const true_positives =
-      MetricsRegistry::Global().GetCounter("sans_verify_true_positives_total");
-  static Counter* const false_positives =
-      MetricsRegistry::Global().GetCounter("sans_verify_false_positives_total");
-  std::vector<SimilarPair> pairs;
-  for (const VerifiedPair& v : verified) {
-    const double s = v.similarity();
-    if (s >= threshold) {
-      pairs.push_back(SimilarPair{v.pair, s});
-    }
-  }
-  true_positives->Increment(pairs.size());
-  false_positives->Increment(verified.size() - pairs.size());
-  SortPairs(&pairs);
-  return pairs;
+  return VerifyCandidatesParallel(source, candidates, threshold,
+                                  ExecutionConfig(), nullptr);
 }
 
 }  // namespace sans

@@ -9,9 +9,12 @@
 #ifndef SANS_MINE_VERIFIER_H_
 #define SANS_MINE_VERIFIER_H_
 
+#include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "core/types.h"
+#include "matrix/block_reader.h"
 #include "matrix/row_stream.h"
 #include "util/status.h"
 
@@ -30,15 +33,48 @@ struct VerifiedPair {
   }
 };
 
+/// The verification accumulator: exact union/intersection counts per
+/// candidate over the blocks it is given. Memory: O(#candidates)
+/// counters, plus one column→candidate index shared with its forks.
+class PairCounter {
+ public:
+  /// Fails on a pair with equal columns or a column >= num_cols.
+  static Result<PairCounter> Create(const std::vector<ColumnPair>& candidates,
+                                    ColumnId num_cols);
+
+  /// A zeroed counter sharing the index, for another pipeline worker.
+  PairCounter Fork() const;
+
+  void Process(const RowBlock& block);
+
+  /// Adds `other`'s counts to this counter's and frees them.
+  void Merge(PairCounter& other);
+
+  /// The counts, in the candidates' order; the counter is spent.
+  std::vector<VerifiedPair> Take() { return std::move(counts_); }
+
+ private:
+  PairCounter() = default;
+
+  // column -> indices of the candidates containing it.
+  std::shared_ptr<const std::vector<std::vector<uint32_t>>> index_;
+  std::vector<VerifiedPair> counts_;
+  // Per-row scratch: how many of a candidate's two columns appear in
+  // the current row (1 => union only, 2 => union + intersection), and
+  // the candidates the row touched.
+  std::vector<uint8_t> present_;
+  std::vector<uint32_t> touched_;
+};
+
 /// Scans `rows` once and returns exact union/intersection counts for
-/// every candidate, in the candidates' order. Memory: O(#candidates)
-/// counters plus a column→candidate index.
+/// every candidate, in the candidates' order.
 Result<std::vector<VerifiedPair>> CountCandidatePairs(
     RowStream* rows, const std::vector<ColumnPair>& candidates);
 
 /// Convenience: verify candidates against a fresh scan from `source`
 /// and keep only pairs with exact similarity >= threshold, sorted by
-/// descending similarity.
+/// descending similarity. VerifyCandidatesParallel (mine/parallel.h)
+/// with one worker.
 Result<std::vector<SimilarPair>> VerifyCandidates(
     const RowStreamSource& source, const std::vector<ColumnPair>& candidates,
     double threshold);

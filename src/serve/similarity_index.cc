@@ -88,10 +88,9 @@ IndexBuilder::IndexBuilder(const SimilarityIndexConfig& config)
 
 Status IndexBuilder::Build(const RowStreamSource& source,
                            const std::string& out_path) const {
-  // One pool shared by both build passes; a null pool (the default
-  // single-thread config) runs the sequential generators, and the
-  // parallel paths are bit-identical to them for any thread count, so
-  // the index bytes do not depend on config_.execution.
+  // One pool shared by both build passes (none for the default
+  // single-thread config). Both passes are bit-identical for any thread
+  // count, so the index bytes do not depend on config_.execution.
   const std::unique_ptr<ThreadPool> pool = MaybeCreatePool(config_.execution);
 
   // Pass 1: r·l min-hash rows for the band keys.

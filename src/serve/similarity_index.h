@@ -66,9 +66,8 @@ struct SimilarityIndexConfig {
   /// Row-hash family for both the band signatures and the sketches.
   HashFamily family = HashFamily::kSplitMix64;
   uint64_t seed = 0;
-  /// Build-time parallelism. num_threads <= 1 runs the sequential
-  /// generators; more threads fan both build passes out on the block
-  /// pipeline (bit-identical output for any thread count).
+  /// Build-time parallelism: the block pipeline's worker count for both
+  /// build passes (bit-identical output for any thread count).
   ExecutionConfig execution;
 
   Status Validate() const;

@@ -1,11 +1,36 @@
 #include "sketch/incremental.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "sketch/signature_matrix.h"
 #include "sketch/sketch_kernels.h"
 
 namespace sans {
+namespace {
+
+// The sketch of `cardinalities.size()` columns whose ascending heap
+// values `values(c)` yields. Distinct rows hash to distinct values for
+// the bijective families (splitmix64, multiply-shift); tabulation can
+// collide, so the values are deduplicated to keep the "sample of
+// distinct rows" semantics of Proposition 2. The heaps hold the k
+// smallest values with repeats, so the dedup comes after the
+// truncation to k, the same at every thread count.
+template <typename ValuesFn>
+KMinHashSketch ToSketch(int k, const std::vector<uint64_t>& cardinalities,
+                        const ValuesFn& values) {
+  KMinHashSketch sketch(k, static_cast<ColumnId>(cardinalities.size()));
+  for (ColumnId c = 0; c < sketch.num_cols(); ++c) {
+    std::vector<uint64_t> signature = values(c);
+    signature.erase(std::unique(signature.begin(), signature.end()),
+                    signature.end());
+    SANS_CHECK(sketch.SetColumn(c, std::move(signature), cardinalities[c])
+                   .ok());
+  }
+  return sketch;
+}
+
+}  // namespace
 
 IncrementalKMinHashBuilder::IncrementalKMinHashBuilder(
     const KMinHashConfig& config, ColumnId num_cols)
@@ -20,35 +45,49 @@ IncrementalKMinHashBuilder::IncrementalKMinHashBuilder(
 
 Status IncrementalKMinHashBuilder::AddRow(
     RowId row, std::span<const ColumnId> columns) {
-  if (columns.empty()) {
-    ++rows_ingested_;
-    return Status::OK();
-  }
-  // Shared clamp keeps the empty-column sentinel unreachable, exactly
-  // as on the batch scan paths.
-  const uint64_t value = HashRowClamped(hasher_, row);
   for (ColumnId c : columns) {
     if (c >= num_cols()) {
       return Status::OutOfRange("column id exceeds builder width");
     }
-    heaps_[c].Offer(value);
-    ++cardinalities_[c];
   }
-  ++rows_ingested_;
+  row_.Clear();
+  row_.Append(row, columns);
+  Process(row_);
   return Status::OK();
 }
 
-Status IncrementalKMinHashBuilder::AddAll(RowStream* rows) {
-  SANS_RETURN_IF_ERROR(rows->Reset());
-  RowView view;
-  while (rows->Next(&view)) {
-    SANS_RETURN_IF_ERROR(AddRow(view.row, view.columns));
+void IncrementalKMinHashBuilder::Process(const RowBlock& block) {
+  keys_.clear();
+  for (size_t i = 0; i < block.size(); ++i) {
+    if (!block.columns(i).empty()) keys_.push_back(block.row(i));
   }
-  return rows->stream_status();
+  HashBlockClamped(hasher_, keys_, &values_);
+  size_t next = 0;
+  for (size_t i = 0; i < block.size(); ++i) {
+    const std::span<const ColumnId> columns = block.columns(i);
+    if (columns.empty()) continue;
+    const uint64_t value = values_[next++];
+    for (ColumnId c : columns) {
+      heaps_[c].Offer(value);
+      ++cardinalities_[c];
+    }
+  }
+  rows_ingested_ += block.size();
 }
 
-Status IncrementalKMinHashBuilder::Merge(
-    const IncrementalKMinHashBuilder& other) {
+Status IncrementalKMinHashBuilder::AddAll(RowStream* rows) {
+  if (rows->num_cols() > num_cols()) {
+    return Status::OutOfRange("stream is wider than the builder");
+  }
+  SANS_RETURN_IF_ERROR(rows->Reset());
+  return ScanRowBlocks(rows, ExecutionConfig().block_rows,
+                       [this](RowBlock& block) {
+                         Process(block);
+                         return Status::OK();
+                       });
+}
+
+Status IncrementalKMinHashBuilder::Merge(IncrementalKMinHashBuilder& other) {
   if (other.config_.k != config_.k ||
       other.config_.family != config_.family ||
       other.config_.seed != config_.seed) {
@@ -59,25 +98,31 @@ Status IncrementalKMinHashBuilder::Merge(
     return Status::InvalidArgument("builders must share the column width");
   }
   for (ColumnId c = 0; c < num_cols(); ++c) {
-    for (uint64_t value : other.heaps_[c].SortedValues()) {
-      heaps_[c].Offer(value);
+    // Ascending offers: once the heap rejects one value it rejects every
+    // later one, and the heap ends with the k smallest of the multiset
+    // union, the same values a single heap over both row sets keeps.
+    for (uint64_t value : other.heaps_[c].TakeSortedValues()) {
+      if (!heaps_[c].Offer(value)) break;
     }
     cardinalities_[c] += other.cardinalities_[c];
   }
+  other.cardinalities_.assign(other.num_cols(), 0);
   rows_ingested_ += other.rows_ingested_;
+  other.rows_ingested_ = 0;
   return Status::OK();
 }
 
 KMinHashSketch IncrementalKMinHashBuilder::Snapshot() const {
-  KMinHashSketch sketch(config_.k, num_cols());
-  for (ColumnId c = 0; c < num_cols(); ++c) {
-    std::vector<uint64_t> signature = heaps_[c].SortedValues();
-    signature.erase(std::unique(signature.begin(), signature.end()),
-                    signature.end());
-    SANS_CHECK(
-        sketch.SetColumn(c, std::move(signature), cardinalities_[c])
-            .ok());
-  }
+  return ToSketch(config_.k, cardinalities_,
+                  [this](ColumnId c) { return heaps_[c].SortedValues(); });
+}
+
+KMinHashSketch IncrementalKMinHashBuilder::Take() {
+  KMinHashSketch sketch =
+      ToSketch(config_.k, cardinalities_,
+               [this](ColumnId c) { return heaps_[c].TakeSortedValues(); });
+  heaps_.clear();
+  cardinalities_.clear();
   return sketch;
 }
 

@@ -4,7 +4,8 @@
 // across disjoint row partitions (the combined bottom-k is the k
 // smallest of the union, cardinalities add) — so sketches can be
 // maintained online or built distributed and combined, without ever
-// rescanning history.
+// rescanning history. Every K-MH scan runs on it: one builder per
+// pipeline worker, merged in worker-id order.
 
 #ifndef SANS_SKETCH_INCREMENTAL_H_
 #define SANS_SKETCH_INCREMENTAL_H_
@@ -13,6 +14,7 @@
 #include <vector>
 
 #include "core/types.h"
+#include "matrix/block_reader.h"
 #include "matrix/row_stream.h"
 #include "sketch/k_min_hash.h"
 #include "util/bounded_heap.h"
@@ -45,19 +47,32 @@ class IncrementalKMinHashBuilder {
   /// Ingests one row. Row ids must be unique across the builder's
   /// lifetime (and across all builders later merged together) — the
   /// id is the hash key, so a repeated id silently double-counts
-  /// cardinalities. Column ids must be < num_cols().
+  /// cardinalities. Column ids must be < num_cols(); a row with any
+  /// other id is rejected whole and leaves the builder unchanged.
   Status AddRow(RowId row, std::span<const ColumnId> columns);
 
-  /// Ingests an entire stream.
+  /// Ingests a block of rows: the non-empty rows' ids are hashed as one
+  /// clamped batch. Column ids must be < num_cols() (unchecked; scans
+  /// of a table at most this wide guarantee it).
+  void Process(const RowBlock& block);
+
+  /// Ingests an entire stream (rewound first). The stream's table
+  /// must be at most num_cols() wide.
   Status AddAll(RowStream* rows);
 
-  /// Folds another builder (over a disjoint row set) into this one.
-  /// Requires identical k, hash family, seed, and width.
-  Status Merge(const IncrementalKMinHashBuilder& other);
+  /// Folds another builder (over a disjoint row set) into this one,
+  /// freeing the other's values as it goes and leaving it empty.
+  /// Requires identical k, hash family, seed, and width; on a mismatch
+  /// neither builder changes.
+  Status Merge(IncrementalKMinHashBuilder& other);
 
   /// Materializes the current state as an immutable sketch. The
   /// builder remains usable; snapshots are O(m·k).
   KMinHashSketch Snapshot() const;
+
+  /// Hands the state over as a sketch without copying the heaps; the
+  /// builder is spent.
+  KMinHashSketch Take();
 
  private:
   KMinHashConfig config_;
@@ -65,6 +80,11 @@ class IncrementalKMinHashBuilder {
   std::vector<BoundedMaxHeap<uint64_t>> heaps_;
   std::vector<uint64_t> cardinalities_;
   uint64_t rows_ingested_ = 0;
+  // Scratch: AddRow's one-row block, and the non-empty row ids of a
+  // block with their hashes.
+  RowBlock row_;
+  std::vector<uint64_t> keys_;
+  std::vector<uint64_t> values_;
 };
 
 }  // namespace sans

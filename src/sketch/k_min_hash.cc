@@ -2,11 +2,7 @@
 
 #include <algorithm>
 
-#include "matrix/block_reader.h"
-#include "obs/metrics.h"
-#include "sketch/signature_matrix.h"
-#include "sketch/sketch_kernels.h"
-#include "util/bounded_heap.h"
+#include "sketch/incremental.h"
 
 namespace sans {
 
@@ -56,69 +52,14 @@ uint64_t KMinHashSketch::TotalSignatureSize() const {
 }
 
 KMinHashGenerator::KMinHashGenerator(const KMinHashConfig& config)
-    : config_(config), hasher_(config.family, config.seed) {
+    : config_(config) {
   SANS_CHECK(config.Validate().ok());
 }
 
 Result<KMinHashSketch> KMinHashGenerator::Compute(RowStream* rows) const {
-  SANS_RETURN_IF_ERROR(rows->Reset());
-  const ColumnId m = rows->num_cols();
-  KMinHashSketch sketch(config_.k, m);
-  // One bounded max-heap per column. The heap admits only values
-  // smaller than its current max once full, matching the paper's
-  // O(log k) insert / O(1) reject data structure.
-  std::vector<BoundedMaxHeap<uint64_t>> heaps;
-  heaps.reserve(m);
-  for (ColumnId c = 0; c < m; ++c) {
-    heaps.emplace_back(static_cast<size_t>(config_.k));
-  }
-  // This sequential scan bypasses the block pipeline, so it feeds the
-  // shared rows-scanned counter itself (one add at scan end).
-  static Counter* const rows_scanned =
-      MetricsRegistry::Global().GetCounter("sans_scan_rows_total");
-  uint64_t rows_seen = 0;
-  // Rows are buffered into blocks so the row-id hashes run as one flat
-  // clamped batch (sketch_kernels.h) instead of a call per row.
-  RowBlock block;
-  std::vector<uint64_t> keys;
-  std::vector<uint64_t> values;
-  const auto drain = [&](const RowBlock& b) {
-    keys.clear();
-    for (size_t i = 0; i < b.size(); ++i) keys.push_back(b.row(i));
-    HashBlockClamped(hasher_, keys, &values);
-    for (size_t i = 0; i < b.size(); ++i) {
-      const uint64_t value = values[i];
-      for (ColumnId c : b.columns(i)) {
-        heaps[c].Offer(value);
-        ++sketch.cardinalities_[c];
-      }
-    }
-  };
-  RowView view;
-  while (rows->Next(&view)) {
-    ++rows_seen;
-    if (view.columns.empty()) continue;  // nothing to update
-    block.Append(view.row, view.columns);
-    if (block.size() >= kSketchBlockRows) {
-      drain(block);
-      block.Clear();
-    }
-  }
-  drain(block);
-  rows_scanned->Increment(rows_seen);
-  SANS_RETURN_IF_ERROR(rows->stream_status());
-  for (ColumnId c = 0; c < m; ++c) {
-    sketch.signatures_[c] = heaps[c].TakeSortedValues();
-    // Distinct rows hash to distinct values for the bijective families
-    // (splitmix64, multiply-shift); tabulation can collide, so
-    // deduplicate defensively to preserve the "sample of distinct
-    // rows" semantics of Proposition 2.
-    sketch.signatures_[c].erase(
-        std::unique(sketch.signatures_[c].begin(),
-                    sketch.signatures_[c].end()),
-        sketch.signatures_[c].end());
-  }
-  return sketch;
+  IncrementalKMinHashBuilder builder(config_, rows->num_cols());
+  SANS_RETURN_IF_ERROR(builder.AddAll(rows));
+  return builder.Take();
 }
 
 std::vector<uint64_t> MergeSignatures(std::span<const uint64_t> sig_a,

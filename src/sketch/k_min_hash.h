@@ -65,7 +65,6 @@ class KMinHashSketch {
                    uint64_t cardinality);
 
  private:
-  friend class KMinHashGenerator;
   friend class BooleanColumnOps;  // builds derived (OR) signatures
 
   int k_;
@@ -76,7 +75,8 @@ class KMinHashSketch {
 
 /// Single-pass generator: hashes each row once (batched per block of
 /// rows, no virtual dispatch) and offers the value to every column
-/// with a 1 in that row via a bounded max-heap.
+/// with a 1 in that row via a bounded max-heap — one
+/// IncrementalKMinHashBuilder (sketch/incremental.h) over the scan.
 class KMinHashGenerator {
  public:
   explicit KMinHashGenerator(const KMinHashConfig& config);
@@ -87,7 +87,6 @@ class KMinHashGenerator {
 
  private:
   KMinHashConfig config_;
-  RowHasher hasher_;
 };
 
 /// SIG_{i∪j}: the k smallest elements of SIG_i ∪ SIG_j (all of them if

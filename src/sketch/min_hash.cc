@@ -4,7 +4,6 @@
 #include <vector>
 
 #include "matrix/block_reader.h"
-#include "obs/metrics.h"
 #include "sketch/sketch_kernels.h"
 
 namespace sans {
@@ -38,35 +37,19 @@ Result<SignatureMatrix> MinHashGenerator::Compute(
   if (cardinalities != nullptr) {
     cardinalities->assign(rows->num_cols(), 0);
   }
-  // This sequential scan bypasses the block pipeline, so it feeds the
-  // shared rows-scanned counter itself (one add at scan end).
-  static Counter* const rows_scanned =
-      MetricsRegistry::Global().GetCounter("sans_scan_rows_total");
-  uint64_t rows_seen = 0;
-  // Rows are copied into a RowBlock (the RowView span dies on the next
-  // Next() call) and handed to the blocked kernel, which batch-hashes
-  // the row ids under all k functions and applies the clamp and the
-  // lane-interleaved min-update (see sketch_kernels.h).
   MinHashBlockKernel kernel(&bank_, rows->num_cols());
-  RowBlock block;
-  RowView view;
-  while (rows->Next(&view)) {
-    ++rows_seen;
-    if (view.columns.empty()) continue;
-    if (cardinalities != nullptr) {
-      for (ColumnId c : view.columns) ++(*cardinalities)[c];
-    }
-    block.Append(view.row, view.columns);
-    if (block.size() >= kSketchBlockRows) {
-      kernel.Process(block);
-      block.Clear();
-    }
-  }
-  kernel.Process(block);
-  rows_scanned->Increment(rows_seen);
-  // Signatures over a truncated scan are silently biased — fail the
-  // pass instead of ending it "cleanly".
-  SANS_RETURN_IF_ERROR(rows->stream_status());
+  // A truncated scan fails here: its signatures would be silently
+  // biased.
+  SANS_RETURN_IF_ERROR(ScanRowBlocks(
+      rows, ExecutionConfig().block_rows, [&](RowBlock& block) {
+        if (cardinalities != nullptr) {
+          for (size_t i = 0; i < block.size(); ++i) {
+            for (ColumnId c : block.columns(i)) ++(*cardinalities)[c];
+          }
+        }
+        kernel.Process(block);
+        return Status::OK();
+      }));
   return kernel.TakeSignatures();
 }
 

@@ -1,9 +1,8 @@
 // Shared hot-path kernels for sketch generation. Every consumer that
-// feeds row hashes into a min-type sketch — Min-Hash signatures,
-// bottom-k sketches, the incremental builder, and their parallel
-// block-pipeline counterparts — goes through the clamped kernels in
-// this header, so the kEmptyMinHash sentinel clamp lives in exactly
-// one place and cannot be missed by a new call site.
+// feeds row hashes into a min-type sketch — Min-Hash signatures and
+// the bottom-k builder (sketch/incremental.h) — goes through the
+// clamped kernels in this header, so the kEmptyMinHash sentinel clamp
+// lives in exactly one place and cannot be missed by a new call site.
 //
 // The Min-Hash kernel does k min-updates for every 1-entry of the
 // table, the largest CPU cost of Min-Hash mining and of the index
@@ -100,8 +99,8 @@ inline uint64_t ClampRowHash(uint64_t hash) {
   return hash - static_cast<uint64_t>(hash == kEmptyMinHash);
 }
 
-/// Clamped single-row hash for the bottom-k paths (one function, one
-/// key per row).
+/// Clamped single-row hash: one function, one key (the per-row
+/// counterpart of HashBlockClamped).
 inline uint64_t HashRowClamped(const RowHasher& hasher, uint64_t key) {
   return ClampRowHash(hasher.Hash(key));
 }
@@ -116,9 +115,8 @@ void HashBlockClamped(const RowHasher& hasher,
 /// column count, then feed it row blocks; it buffers up to
 /// kSketchBlockRows non-empty rows, batch-hashes their ids under all
 /// k functions, and min-updates its lane-interleaved accumulator.
-/// Accepts any block type exposing size() / row(i) / columns(i) —
-/// both the sequential accumulation buffer and the parallel
-/// pipeline's RowBlock qualify.
+/// Accepts any block type exposing size() / row(i) / columns(i), such
+/// as the pipeline's RowBlock.
 ///
 /// Column spans handed in via Process() are only borrowed while the
 /// call runs; every Process() call drains its own buffer before

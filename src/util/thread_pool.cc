@@ -137,4 +137,15 @@ std::unique_ptr<ThreadPool> MaybeCreatePool(const ExecutionConfig& config) {
   return std::make_unique<ThreadPool>(config.num_threads);
 }
 
+int PoolWorkers(const ThreadPool* pool) {
+  return pool == nullptr ? 1 : pool->num_threads();
+}
+
+Status ParallelFor(ThreadPool* pool, int64_t count,
+                   const std::function<Status(int64_t)>& body) {
+  if (pool != nullptr) return pool->ParallelFor(count, body);
+  for (int64_t i = 0; i < count; ++i) SANS_RETURN_IF_ERROR(body(i));
+  return Status::OK();
+}
+
 }  // namespace sans

@@ -29,9 +29,9 @@
 
 namespace sans {
 
-// Knobs of the parallel execution engine. `num_threads == 1` selects
-// the sequential reference path everywhere (no pool, no queue), so a
-// single-threaded run exercises exactly the code the paper describes.
+// Knobs of the parallel execution engine. `num_threads == 1` is the
+// engine's one-worker case: the same scan loop and accumulators run
+// on the calling thread, with no pool and no queue.
 struct ExecutionConfig {
   // Worker threads for the row fan-out in phases 1/3 and the probe
   // ranges / bands in phase 2.
@@ -82,9 +82,17 @@ class ThreadPool {
 };
 
 // Creates a pool when `config` asks for parallelism; returns nullptr
-// for num_threads <= 1, which every engine entry point treats as
-// "run the sequential reference path".
+// for num_threads <= 1, which every engine entry point treats as one
+// worker on the calling thread.
 std::unique_ptr<ThreadPool> MaybeCreatePool(const ExecutionConfig& config);
+
+// Workers a pool offers: its thread count, or 1 without a pool.
+int PoolWorkers(const ThreadPool* pool);
+
+// pool->ParallelFor(count, body), or, without a pool, body(0), ...,
+// body(count - 1) on the calling thread up to the first error.
+Status ParallelFor(ThreadPool* pool, int64_t count,
+                   const std::function<Status(int64_t)>& body);
 
 }  // namespace sans
 

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <utility>
+#include <vector>
+
 #include "data/synthetic_generator.h"
 #include "matrix/row_stream.h"
 #include "sketch/min_hash.h"
@@ -198,6 +202,77 @@ TEST(MinLshTest, ParallelGenerateMatchesSequential) {
       auto parallel = generator.Generate(*sig, &pool);
       ASSERT_TRUE(parallel.ok()) << "threads=" << threads;
       EXPECT_EQ(parallel->SortedEntries(), sequential->SortedEntries())
+          << "sampled=" << sampled << " threads=" << threads;
+    }
+  }
+}
+
+// Naive banding: for every band, group the non-empty columns by the
+// tuple of their r band values (no key hashing) and count each
+// bucket-mate pair once per band.
+std::vector<std::pair<ColumnPair, uint64_t>> NaiveBanding(
+    const MinLshCandidateGenerator& generator, const SignatureMatrix& sig) {
+  std::map<ColumnPair, uint64_t> counts;
+  for (int band = 0; band < generator.config().num_bands; ++band) {
+    const std::vector<int> indices =
+        generator.BandIndices(band, sig.num_hashes());
+    std::map<std::vector<uint64_t>, std::vector<ColumnId>> buckets;
+    for (ColumnId c = 0; c < sig.num_cols(); ++c) {
+      if (sig.ColumnEmpty(c)) continue;
+      std::vector<uint64_t> key;
+      for (int idx : indices) key.push_back(sig.Value(idx, c));
+      buckets[key].push_back(c);
+    }
+    for (const auto& [key, cols] : buckets) {
+      for (size_t a = 0; a < cols.size(); ++a) {
+        for (size_t b = a + 1; b < cols.size(); ++b) {
+          ++counts[ColumnPair(cols[a], cols[b])];
+        }
+      }
+    }
+  }
+  return {counts.begin(), counts.end()};
+}
+
+TEST(MinLshTest, EveryThreadCountMatchesNaiveBanding) {
+  // Seven bands: not a multiple of 2, 3 or 8 workers, so the last
+  // worker's band stride is short.
+  SyntheticConfig data;
+  data.num_rows = 800;
+  data.num_cols = 60;
+  data.bands = {{6, 55.0, 85.0}};
+  data.spread_pairs = false;
+  data.min_density = 0.05;
+  data.max_density = 0.1;
+  data.seed = 37;
+  auto dataset = GenerateSynthetic(data);
+  ASSERT_TRUE(dataset.ok());
+
+  MinHashConfig mh;
+  mh.num_hashes = 21;
+  mh.seed = 8;
+  MinHashGenerator mh_generator(mh);
+  InMemoryRowStream stream(&dataset->matrix);
+  auto sig = mh_generator.Compute(&stream);
+  ASSERT_TRUE(sig.ok());
+
+  for (bool sampled : {false, true}) {
+    MinLshConfig config;
+    config.rows_per_band = 3;
+    config.num_bands = 7;
+    config.sampled = sampled;
+    config.seed = 2;
+    MinLshCandidateGenerator generator(config);
+    const auto expected = NaiveBanding(generator, *sig);
+    ASSERT_FALSE(expected.empty());
+    auto unpooled = generator.Generate(*sig, nullptr);
+    ASSERT_TRUE(unpooled.ok());
+    EXPECT_EQ(unpooled->SortedEntries(), expected) << "sampled=" << sampled;
+    for (int threads : {1, 2, 3, 8}) {
+      ThreadPool pool(threads);
+      auto candidates = generator.Generate(*sig, &pool);
+      ASSERT_TRUE(candidates.ok()) << "threads=" << threads;
+      EXPECT_EQ(candidates->SortedEntries(), expected)
           << "sampled=" << sampled << " threads=" << threads;
     }
   }

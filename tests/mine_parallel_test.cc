@@ -3,12 +3,15 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <tuple>
 #include <vector>
 
 #include "data/synthetic_generator.h"
 #include "data/weblog_generator.h"
 #include "matrix/row_stream.h"
 #include "mine/verifier.h"
+#include "naive_reference.h"
+#include "util/hashing.h"
 
 namespace sans {
 namespace {
@@ -172,6 +175,133 @@ TEST_P(ParallelVerifyTest, VerifyCandidatesMatchesSequential) {
 
 INSTANTIATE_TEST_SUITE_P(ThreadCounts, ParallelVerifyTest,
                          ::testing::ValuesIn(kThreadCounts));
+
+// ---- Independent references -------------------------------------
+//
+// Every thread count and block size must reproduce the naive
+// references of naive_reference.h, which share no code with the
+// block pipeline or the accumulators. The table has empty rows inside
+// and at its end.
+
+BinaryMatrix TableWithEmptyRows() {
+  const RowId num_rows = 600;
+  const ColumnId num_cols = 50;
+  std::vector<std::vector<ColumnId>> rows(num_rows);
+  for (RowId r = 0; r + 20 < num_rows; ++r) {
+    if (r % 5 == 0) continue;
+    for (ColumnId c = 0; c < num_cols; ++c) {
+      if (Mix64(r * num_cols + c + 3) % 100 < 12) rows[r].push_back(c);
+    }
+  }
+  auto m = BinaryMatrix::FromRows(num_rows, num_cols, rows);
+  EXPECT_TRUE(m.ok());
+  return std::move(m).value();
+}
+
+class ReferenceSweepTest
+    : public ::testing::TestWithParam<std::tuple<int, int>> {
+ protected:
+  int threads() const { return std::get<0>(GetParam()); }
+  ExecutionConfig exec() const {
+    return Exec(threads(), /*block_rows=*/std::get<1>(GetParam()));
+  }
+};
+
+TEST_P(ReferenceSweepTest, MinHashMatchesNaive) {
+  const BinaryMatrix m = TableWithEmptyRows();
+  InMemorySource source(&m);
+  MinHashConfig config;
+  config.num_hashes = 19;
+  config.seed = 41;
+  const ExecutionConfig execution = exec();
+  std::unique_ptr<ThreadPool> pool = MaybeCreatePool(execution);
+  auto signatures =
+      ComputeMinHashParallel(source, config, execution, pool.get());
+  ASSERT_TRUE(signatures.ok());
+  const SignatureMatrix naive = NaiveMinHash(m, config);
+  for (int l = 0; l < config.num_hashes; ++l) {
+    for (ColumnId c = 0; c < m.num_cols(); ++c) {
+      ASSERT_EQ(signatures->Value(l, c), naive.Value(l, c))
+          << "l=" << l << " c=" << c;
+    }
+  }
+}
+
+TEST_P(ReferenceSweepTest, KMinHashMatchesNaiveBottomK) {
+  const BinaryMatrix m = TableWithEmptyRows();
+  InMemorySource source(&m);
+  for (HashFamily family :
+       {HashFamily::kSplitMix64, HashFamily::kTabulation}) {
+    KMinHashConfig config;
+    config.k = 23;
+    config.family = family;
+    config.seed = 17;
+    const ExecutionConfig execution = exec();
+    std::unique_ptr<ThreadPool> pool = MaybeCreatePool(execution);
+    auto sketch =
+        ComputeKMinHashParallel(source, config, execution, pool.get());
+    ASSERT_TRUE(sketch.ok());
+    for (ColumnId c = 0; c < m.num_cols(); ++c) {
+      const auto got = sketch->Signature(c);
+      ASSERT_EQ(std::vector<uint64_t>(got.begin(), got.end()),
+                NaiveBottomK(m, config, c))
+          << HashFamilyToString(family) << " c=" << c;
+      ASSERT_EQ(sketch->ColumnCardinality(c), m.Column(c).size())
+          << HashFamilyToString(family) << " c=" << c;
+    }
+  }
+}
+
+TEST_P(ReferenceSweepTest, VerifyMatchesColumnIntersection) {
+  const BinaryMatrix m = TableWithEmptyRows();
+  InMemorySource source(&m);
+  std::vector<ColumnPair> candidates;
+  for (ColumnId a = 0; a < m.num_cols(); a += 3) {
+    for (ColumnId b = a + 1; b < m.num_cols(); b += 4) {
+      candidates.push_back(ColumnPair(a, b));
+    }
+  }
+  const ExecutionConfig execution = exec();
+  std::unique_ptr<ThreadPool> pool = MaybeCreatePool(execution);
+  auto counts =
+      CountCandidatePairsParallel(source, candidates, execution, pool.get());
+  ASSERT_TRUE(counts.ok());
+  ASSERT_EQ(counts->size(), candidates.size());
+  std::vector<SimilarPair> expected;
+  for (size_t i = 0; i < candidates.size(); ++i) {
+    const VerifiedPair naive = NaiveCounts(m, candidates[i]);
+    ASSERT_EQ((*counts)[i].pair, naive.pair);
+    ASSERT_EQ((*counts)[i].union_count, naive.union_count) << i;
+    ASSERT_EQ((*counts)[i].intersection_count, naive.intersection_count)
+        << i;
+    if (naive.similarity() >= 0.1) {
+      expected.push_back(SimilarPair{naive.pair, naive.similarity()});
+    }
+  }
+  auto pairs = VerifyCandidatesParallel(source, candidates, 0.1, execution,
+                                        pool.get());
+  ASSERT_TRUE(pairs.ok());
+  ASSERT_FALSE(expected.empty());
+  ASSERT_EQ(pairs->size(), expected.size());
+  // Descending similarity; ties in ascending pair order.
+  std::sort(expected.begin(), expected.end(),
+            [](const SimilarPair& a, const SimilarPair& b) {
+              if (a.similarity != b.similarity) {
+                return a.similarity > b.similarity;
+              }
+              return a.pair < b.pair;
+            });
+  for (size_t i = 0; i < expected.size(); ++i) {
+    EXPECT_EQ((*pairs)[i].pair, expected[i].pair) << i;
+    EXPECT_EQ((*pairs)[i].similarity, expected[i].similarity) << i;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    ThreadsByBlockRows, ReferenceSweepTest,
+    ::testing::Combine(::testing::ValuesIn(kThreadCounts),
+                       ::testing::Values(1, 7, 128)));
+
 
 TEST(ParallelTest, CountsMatchExactSimilarity) {
   const BinaryMatrix m = TestMatrix();

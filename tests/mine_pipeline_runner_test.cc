@@ -164,7 +164,7 @@ TEST_F(PipelineRunnerTest, RunReportCapturesPhasesAndCounts) {
   EXPECT_EQ(report.phases[1].name, "2-candidates");
   EXPECT_EQ(report.phases[2].name, "3-verify");
   // Signatures scan + verify scan each touch every row.
-  EXPECT_GE(report.rows_scanned, 2u * m.num_rows());
+  EXPECT_EQ(report.rows_scanned, 2u * m.num_rows());
   EXPECT_GT(report.candidates_generated, 0u);
   EXPECT_GT(report.candidates_verified, 0u);
   EXPECT_EQ(report.true_positives, summary->report.pairs.size());
@@ -181,6 +181,28 @@ TEST_F(PipelineRunnerTest, RunReportCapturesPhasesAndCounts) {
                          std::istreambuf_iterator<char>());
   EXPECT_EQ(json, RenderRunReportJson(report));
   EXPECT_NE(json.find("\"algorithm\": \"mlsh\""), std::string::npos);
+}
+
+TEST_F(PipelineRunnerTest, EachScanCountsEveryRowOnce) {
+  // Two scans (signatures, verify), each counted once at the one place
+  // rows become blocks, whatever the thread count.
+  const BinaryMatrix m = TestMatrix();
+  InMemorySource source(&m);
+  uint64_t verified_at_1 = 0;
+  for (int threads : {1, 3}) {
+    PipelineConfig config = Config("");
+    config.execution.num_threads = threads;
+    auto summary = RunMlsh(config, source);
+    ASSERT_TRUE(summary.ok());
+    const RunReport& report = summary->run_report;
+    EXPECT_EQ(report.rows_scanned, 2u * m.num_rows()) << "threads=" << threads;
+    EXPECT_GT(report.candidates_verified, 0u);
+    if (threads == 1) {
+      verified_at_1 = report.candidates_verified;
+    } else {
+      EXPECT_EQ(report.candidates_verified, verified_at_1);
+    }
+  }
 }
 
 TEST_F(PipelineRunnerTest, RunReportRecordsCpuAndPeakRss) {

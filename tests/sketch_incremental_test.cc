@@ -154,6 +154,18 @@ TEST(IncrementalKMinHashTest, RejectsOutOfRangeColumns) {
   IncrementalKMinHashBuilder builder(config, 3);
   const ColumnId bad[] = {5};
   EXPECT_EQ(builder.AddRow(0, bad).code(), StatusCode::kOutOfRange);
+
+  // A row whose bad column follows a good one is rejected whole: the
+  // good column gets neither the row's hash nor a cardinality bump.
+  const ColumnId good[] = {1, 2};
+  ASSERT_TRUE(builder.AddRow(1, good).ok());
+  const KMinHashSketch before = builder.Snapshot();
+  const uint64_t rows_before = builder.rows_ingested();
+  const ColumnId half_bad[] = {0, 5};
+  EXPECT_EQ(builder.AddRow(2, half_bad).code(), StatusCode::kOutOfRange);
+  EXPECT_EQ(builder.rows_ingested(), rows_before);
+  ExpectSameSketch(builder.Snapshot(), before);
+  EXPECT_EQ(builder.Snapshot().ColumnCardinality(0), 0u);
 }
 
 TEST(IncrementalKMinHashTest, EmptyRowsCountOnlyIngestion) {

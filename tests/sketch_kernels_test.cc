@@ -15,6 +15,7 @@
 #include "matrix/binary_matrix.h"
 #include "matrix/block_reader.h"
 #include "matrix/row_stream.h"
+#include "naive_reference.h"
 #include "sketch/incremental.h"
 #include "sketch/k_min_hash.h"
 #include "sketch/min_hash.h"
@@ -179,25 +180,6 @@ BinaryMatrix KernelTestMatrix() {
   auto m = BinaryMatrix::FromRows(num_rows, num_cols, rows);
   EXPECT_TRUE(m.ok());
   return std::move(m).value();
-}
-
-// Per row, per column, per hash, through the checked MinUpdate, with
-// the clamp applied per value.
-SignatureMatrix NaiveMinHash(const BinaryMatrix& m,
-                             const MinHashConfig& config) {
-  HashFunctionBank bank(config.family, config.num_hashes, config.seed);
-  SignatureMatrix naive(config.num_hashes, m.num_cols());
-  InMemoryRowStream stream(&m);
-  EXPECT_TRUE(stream.Reset().ok());
-  RowView view;
-  while (stream.Next(&view)) {
-    for (ColumnId c : view.columns) {
-      for (int l = 0; l < config.num_hashes; ++l) {
-        naive.MinUpdate(l, c, ClampRowHash(bank.Hash(l, view.row)));
-      }
-    }
-  }
-  return naive;
 }
 
 void ExpectSameSignatures(const SignatureMatrix& a, const SignatureMatrix& b) {

@@ -40,7 +40,10 @@ TEST(ThreadPoolTest, SubmitRunsEveryTask) {
   std::condition_variable cv;
   constexpr int kTasks = 100;
   for (int i = 0; i < kTasks; ++i) {
+    // Notify under the lock: once the wait below returns, no task
+    // touches `cv` again, so it may go out of scope.
     pool.Submit([&] {
+      std::lock_guard<std::mutex> lock(mu);
       if (counter.fetch_add(1) + 1 == kTasks) cv.notify_one();
     });
   }

@@ -124,7 +124,7 @@ int Fail(const Status& status) {
 }
 
 /// --threads / --block-rows. Defaults to every hardware thread;
-/// --threads 1 forces the sequential reference path. Output is
+/// --threads 1 runs the one worker on the calling thread. Output is
 /// bit-identical either way.
 Result<ExecutionConfig> ParseExecution(const Args& args) {
   ExecutionConfig execution;
@@ -148,7 +148,7 @@ int Usage() {
       "            [--threshold S] [--k K] [--r R] [--l L] [--seed S]\n"
       "            [--delta D (mh, kmh)] [--sample N] [--max-fn F]\n"
       "            [--max-fp F] (auto: columns sampled, FN/FP budgets)\n"
-      "            [--threads N (default: all cores; 1 = sequential)]\n"
+      "            [--threads N (default: all cores; 1 = no pool)]\n"
       "            [--block-rows N] [--checkpoint-dir DIR] [--resume]\n"
       "            [--max-retries N] [--max-skipped-rows N]\n"
       "            [--run-report FILE (write a JSON run report)]\n"
