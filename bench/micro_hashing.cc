@@ -1,6 +1,6 @@
 // Micro-benchmarks (google-benchmark) of the hashing substrate: raw
-// hash throughput per family and min-hash signature generation cost —
-// the ablation DESIGN.md calls out for tabulation vs multiply-shift.
+// row-hash throughput and the cost of min-hash signature and bottom-k
+// sketch generation per k.
 
 #include <benchmark/benchmark.h>
 
@@ -13,18 +13,15 @@
 namespace sans {
 namespace {
 
-template <typename HasherT>
 void BM_HashThroughput(benchmark::State& state) {
-  HasherT hasher(42);
+  const RowHasher hasher(42);
   uint64_t key = 0;
   for (auto _ : state) {
     benchmark::DoNotOptimize(hasher.Hash(key++));
   }
   state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_HashThroughput<SplitMix64Hasher>);
-BENCHMARK(BM_HashThroughput<MultiplyShiftHasher>);
-BENCHMARK(BM_HashThroughput<TabulationHasher>);
+BENCHMARK(BM_HashThroughput);
 
 const BinaryMatrix& BenchMatrix() {
   static const BinaryMatrix* matrix = [] {
@@ -44,10 +41,8 @@ const BinaryMatrix& BenchMatrix() {
 
 void BM_MinHashSignatures(benchmark::State& state) {
   const int k = static_cast<int>(state.range(0));
-  const HashFamily family = static_cast<HashFamily>(state.range(1));
   MinHashConfig config;
   config.num_hashes = k;
-  config.family = family;
   config.seed = 3;
   MinHashGenerator generator(config);
   for (auto _ : state) {
@@ -57,11 +52,7 @@ void BM_MinHashSignatures(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * BenchMatrix().num_ones());
 }
-BENCHMARK(BM_MinHashSignatures)
-    ->ArgsProduct({{16, 64, 128},
-                   {static_cast<int>(HashFamily::kSplitMix64),
-                    static_cast<int>(HashFamily::kMultiplyShift),
-                    static_cast<int>(HashFamily::kTabulation)}});
+BENCHMARK(BM_MinHashSignatures)->Arg(16)->Arg(64)->Arg(128);
 
 void BM_KMinHashSketch(benchmark::State& state) {
   const int k = static_cast<int>(state.range(0));

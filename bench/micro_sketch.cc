@@ -67,8 +67,7 @@ class BoxedBankFunction final : public BoxedHasher {
 
 class BoxedRowHasher final : public BoxedHasher {
  public:
-  BoxedRowHasher(HashFamily family, uint64_t seed)
-      : hasher_(family, seed) {}
+  explicit BoxedRowHasher(uint64_t seed) : hasher_(seed) {}
   uint64_t Hash(uint64_t key) const override { return hasher_.Hash(key); }
 
  private:
@@ -80,7 +79,7 @@ class BoxedRowHasher final : public BoxedHasher {
 /// SignatureMatrix::MinUpdate.
 SignatureMatrix ReferenceMinHash(const BinaryMatrix& matrix,
                                  const MinHashConfig& config) {
-  HashFunctionBank bank(config.family, config.num_hashes, config.seed);
+  HashFunctionBank bank(config.num_hashes, config.seed);
   std::vector<std::unique_ptr<BoxedHasher>> hashers;
   hashers.reserve(config.num_hashes);
   for (int l = 0; l < config.num_hashes; ++l) {
@@ -111,7 +110,7 @@ SignatureMatrix ReferenceMinHash(const BinaryMatrix& matrix,
 KMinHashSketch ReferenceKMinHash(const BinaryMatrix& matrix,
                                  const KMinHashConfig& config) {
   const std::unique_ptr<BoxedHasher> hasher =
-      std::make_unique<BoxedRowHasher>(config.family, config.seed);
+      std::make_unique<BoxedRowHasher>(config.seed);
   const ColumnId m = matrix.num_cols();
   std::vector<BoundedMaxHeap<uint64_t>> heaps;
   heaps.reserve(m);

@@ -57,7 +57,7 @@ int main(int argc, char** argv) {
   opt_options.max_false_negatives = 5.0;
   opt_options.max_false_positives = 50'000.0;
   auto miner = sans::MlshMiner::FromDistribution(
-      *distr, opt_options, sans::HashFamily::kSplitMix64, /*seed=*/3);
+      *distr, opt_options, /*seed=*/3);
   if (!miner.ok()) {
     std::fprintf(stderr, "optimizer found no feasible (r, l): %s\n",
                  miner.status().ToString().c_str());

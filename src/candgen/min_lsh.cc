@@ -58,14 +58,7 @@ void MinLshCandidateGenerator::CollectBandCandidates(
   buckets.reserve(m);
   for (ColumnId c = 0; c < m; ++c) {
     if (signatures.ColumnEmpty(c)) continue;
-    // Band key: order-sensitive combination of the r values. Seeded
-    // by the band id so identical keys in different bands land in
-    // independent bucket spaces.
-    uint64_t key = Mix64(0xb5ad4eceda1ce2a9ULL + band);
-    for (int idx : indices) {
-      key = CombineHashes(key, signatures.Value(idx, c));
-    }
-    buckets[key].push_back(c);
+    buckets[BandKey(signatures, band, indices, c)].push_back(c);
   }
   uint64_t emitted = 0;
   for (const auto& [key, cols] : buckets) {

@@ -13,10 +13,12 @@
 #define SANS_CANDGEN_MIN_LSH_H_
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "candgen/candidate_set.h"
 #include "sketch/signature_matrix.h"
+#include "util/hashing.h"
 #include "util/status.h"
 #include "util/thread_pool.h"
 
@@ -38,6 +40,18 @@ struct MinLshConfig {
 
   Status Validate() const;
 };
+
+/// Bucket key of column `c` in band `band`: an order-sensitive
+/// combination of the column's values at hash rows `indices`, seeded
+/// by the band id so identical values in different bands land in
+/// independent bucket spaces. Min-LSH, the similarity index's
+/// persisted buckets and the online miner all bucket on this key.
+inline uint64_t BandKey(const SignatureMatrix& signatures, int band,
+                        std::span<const int> indices, ColumnId c) {
+  uint64_t key = Mix64(0xb5ad4eceda1ce2a9ULL + band);
+  for (int idx : indices) key = CombineHashes(key, signatures.Value(idx, c));
+  return key;
+}
 
 /// Runs Min-LSH over a signature matrix and reports all bucket-mate
 /// pairs. Evidence counts record in how many bands a pair collided.

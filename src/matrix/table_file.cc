@@ -149,6 +149,15 @@ bool TableFileReader::Next(RowView* out) {
         "truncated row header at row " + std::to_string(row));
     return false;
   }
+  // A valid row holds distinct ids below num_cols. Check before sizing
+  // the buffer, so a corrupt count cannot demand gigabytes; framing is
+  // lost, so even degraded mode cannot skip past this row.
+  if (count > num_cols_) {
+    fatal_ = true;
+    stream_status_ = Status::Corruption(
+        "row entry count exceeds num_cols at row " + std::to_string(row));
+    return false;
+  }
   row_buffer_.resize(count);
   if (count > 0) {
     if (std::fread(row_buffer_.data(), sizeof(ColumnId), count, file_) !=

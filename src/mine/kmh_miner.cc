@@ -23,12 +23,10 @@ KmhMiner::KmhMiner(const KmhMinerConfig& config) : config_(config) {
 }
 
 std::string KmhMiner::FingerprintFields() const {
-  return ";k=" + std::to_string(config_.sketch.k) +
-         ";family=" + std::to_string(static_cast<int>(config_.sketch.family)) +
+  return ";k=" + std::to_string(config_.sketch.k) + ";family=0" +
          ";seed=" + std::to_string(config_.sketch.seed) +
          ";slack=" + FingerprintDouble(config_.hash_count_slack) +
-         ";delta=" + FingerprintDouble(config_.delta) +
-         ";unbiased=" + (config_.unbiased_pruning ? "1" : "0");
+         ";delta=" + FingerprintDouble(config_.delta) + ";unbiased=1";
 }
 
 Status KmhMiner::Sketch(const RowStreamSource& source,
@@ -55,7 +53,6 @@ Result<CandidateSet> KmhMiner::Candidates(double threshold, ThreadPool* pool) {
       CandidateSet filtered,
       HashCountKMinHashAdaptiveParallel(
           *sketch_, config_.hash_count_slack * threshold, pool));
-  if (!config_.unbiased_pruning) return filtered;
   // Phase 2b: unbiased Theorem-2 pruning of the survivors.
   const double prune_floor = (1.0 - config_.delta) * threshold;
   CandidateSet candidates;

@@ -26,9 +26,6 @@ struct KmhMinerConfig {
   /// δ applied to the unbiased estimator: pairs below (1-δ)·s* are
   /// pruned before verification.
   double delta = 0.2;
-  /// When false, the unbiased pruning stage is skipped and every
-  /// Hash-Count survivor goes to verification (ablation knob).
-  bool unbiased_pruning = true;
 
   Status Validate() const;
 };

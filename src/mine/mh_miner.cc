@@ -24,8 +24,7 @@ MhMiner::MhMiner(const MhMinerConfig& config) : config_(config) {
 
 std::string MhMiner::FingerprintFields() const {
   const MinHashConfig& min_hash = config_.min_hash;
-  return ";k=" + std::to_string(min_hash.num_hashes) +
-         ";family=" + std::to_string(static_cast<int>(min_hash.family)) +
+  return ";k=" + std::to_string(min_hash.num_hashes) + ";family=0" +
          ";seed=" + std::to_string(min_hash.seed) +
          ";candgen=" + std::to_string(static_cast<int>(config_.candidates)) +
          ";delta=" + FingerprintDouble(config_.delta);

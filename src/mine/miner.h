@@ -58,7 +58,9 @@ class Miner {
   /// Checkpoint manifest tag ("mh", "kmh", "mlsh", "hlsh").
   virtual std::string tag() const = 0;
   /// Every output-determining knob, as ";key=value" fields appended to
-  /// the checkpoint fingerprint.
+  /// the checkpoint fingerprint. Fields that no longer vary stay as
+  /// literals (`family=0`, the one row hash; K-MH's `unbiased=1`), so
+  /// existing checkpoints keep resuming.
   virtual std::string FingerprintFields() const = 0;
 
   /// Phase 1: builds the artifact in one scan of `source`.

@@ -20,7 +20,7 @@ MlshMiner::MlshMiner(const MlshMinerConfig& config) : config_(config) {
 
 Result<MlshMiner> MlshMiner::FromDistribution(
     const SimilarityDistribution& distr, const LshOptimizerOptions& options,
-    HashFamily family, uint64_t seed) {
+    uint64_t seed) {
   const LshParameters params = OptimizeLshParameters(distr, options);
   if (!params.feasible) {
     return Status::NotFound(
@@ -30,7 +30,6 @@ Result<MlshMiner> MlshMiner::FromDistribution(
   config.lsh.rows_per_band = params.r;
   config.lsh.num_bands = params.l;
   config.lsh.sampled = false;
-  config.family = family;
   config.seed = seed;
   MlshMiner miner(config);
   miner.optimized_ = params;
@@ -42,8 +41,7 @@ std::string MlshMiner::FingerprintFields() const {
          ";l=" + std::to_string(config_.lsh.num_bands) +
          ";sampled=" + (config_.lsh.sampled ? "1" : "0") +
          ";num_hashes=" + std::to_string(config_.num_hashes) +
-         ";family=" + std::to_string(static_cast<int>(config_.family)) +
-         ";seed=" + std::to_string(config_.seed);
+         ";family=0;seed=" + std::to_string(config_.seed);
 }
 
 Status MlshMiner::Sketch(const RowStreamSource& source,
@@ -52,7 +50,6 @@ Status MlshMiner::Sketch(const RowStreamSource& source,
   const MinLshConfig& lsh = config_.lsh;
   mh_config.num_hashes =
       lsh.sampled ? config_.num_hashes : lsh.rows_per_band * lsh.num_bands;
-  mh_config.family = config_.family;
   mh_config.seed = config_.seed;
   SANS_ASSIGN_OR_RETURN(
       signatures_, ComputeMinHashParallel(source, mh_config, execution, pool));

@@ -28,7 +28,6 @@ struct MlshMinerConfig {
   /// Hash rows computed in sampled mode (ignored in banded mode,
   /// where k = r·l).
   int num_hashes = 40;
-  HashFamily family = HashFamily::kSplitMix64;
   uint64_t seed = 0;
 
   Status Validate() const;
@@ -45,7 +44,7 @@ class MlshMiner final : public Miner {
   /// mode. Returns the infeasibility as a Status.
   static Result<MlshMiner> FromDistribution(
       const SimilarityDistribution& distr, const LshOptimizerOptions& options,
-      HashFamily family, uint64_t seed);
+      uint64_t seed);
 
   std::string name() const override { return "M-LSH"; }
   std::string tag() const override { return "mlsh"; }

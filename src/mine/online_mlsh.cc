@@ -1,11 +1,12 @@
 #include "mine/online_mlsh.h"
 
 #include <cmath>
+#include <numeric>
 #include <unordered_map>
 
+#include "candgen/min_lsh.h"
 #include "mine/miner.h"
 #include "mine/verifier.h"
-#include "util/hashing.h"
 
 namespace sans {
 
@@ -31,7 +32,6 @@ Status OnlineMlshMiner::Start(const RowStreamSource& source,
   }
   MinHashConfig mh_config;
   mh_config.num_hashes = config_.rows_per_band * config_.max_bands;
-  mh_config.family = config_.family;
   mh_config.seed = config_.seed;
   MinHashGenerator generator(mh_config);
   SANS_ASSIGN_OR_RETURN(std::unique_ptr<RowStream> stream, source.Open());
@@ -57,14 +57,12 @@ Result<OnlineStepResult> OnlineMlshMiner::Step() {
   const int r = config_.rows_per_band;
 
   // Bucket every non-empty column on this band's r values.
+  std::vector<int> indices(r);
+  std::iota(indices.begin(), indices.end(), band * r);
   std::unordered_map<uint64_t, std::vector<ColumnId>> buckets;
   for (ColumnId c = 0; c < signatures_.num_cols(); ++c) {
     if (signatures_.ColumnEmpty(c)) continue;
-    uint64_t key = Mix64(0xd6e8feb86659fd93ULL + band);
-    for (int i = 0; i < r; ++i) {
-      key = CombineHashes(key, signatures_.Value(band * r + i, c));
-    }
-    buckets[key].push_back(c);
+    buckets[BandKey(signatures_, band, indices, c)].push_back(c);
   }
 
   // Collect candidates not seen in earlier bands.

@@ -34,7 +34,6 @@ struct OnlineMlshConfig {
   /// Maximum bands (and hence hash rows = rows_per_band * max_bands)
   /// precomputed in the single signature pass.
   int max_bands = 40;
-  HashFamily family = HashFamily::kSplitMix64;
   uint64_t seed = 0;
 
   Status Validate() const;

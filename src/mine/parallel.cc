@@ -19,7 +19,7 @@ Result<SignatureMatrix> ComputeMinHashParallel(
   // workers; each worker owns a blocked kernel, whose lane-interleaved
   // accumulator is its partial result.
   const int workers = BlockWorkers(execution, pool);
-  HashFunctionBank bank(config.family, config.num_hashes, config.seed);
+  HashFunctionBank bank(config.num_hashes, config.seed);
   std::vector<MinHashBlockKernel> kernels;
   kernels.reserve(workers);
   for (int w = 0; w < workers; ++w) {
@@ -56,10 +56,8 @@ Result<KMinHashSketch> ComputeKMinHashParallel(
         builders[worker].Process(block);
         return Status::OK();
       }));
-  // Each merge keeps the k smallest values of the multiset union and
-  // frees the merged-in heaps; the dedup comes only in Take, after the
-  // truncation to k, so tabulation collisions give the same sketch at
-  // every thread count.
+  // Each merge keeps the k smallest values of the union and frees the
+  // merged-in heaps, so the sketch is the same at every thread count.
   for (int w = 1; w < workers; ++w) {
     SANS_RETURN_IF_ERROR(builders[0].Merge(builders[w]));
   }

@@ -3,9 +3,9 @@
 // BlockWorkers(execution, pool) workers feeds its own accumulator
 // (MinHashBlockKernel, IncrementalKMinHashBuilder, PairCounter), and
 // the accumulators merge in worker-id order — element-wise min,
-// bottom-k multiset union (then dedup), additive counts — so every
-// result is bit-identical for any thread count, block size, or
-// scheduling. One worker runs inline on the calling thread.
+// bottom-k union, additive counts — so every result is bit-identical
+// for any thread count, block size, or scheduling. One worker runs
+// inline on the calling thread.
 
 #ifndef SANS_MINE_PARALLEL_H_
 #define SANS_MINE_PARALLEL_H_
@@ -29,9 +29,8 @@ Result<SignatureMatrix> ComputeMinHashParallel(const RowStreamSource& source,
 
 /// Computes bottom-k sketches (plus exact cardinalities) over one
 /// scan. Per-worker memory is one k-bounded heap per column; the
-/// merged column signature is the k smallest values across workers
-/// with duplicates retained until the final dedup, which is exactly
-/// what one heap over the whole scan retains.
+/// merged column signature is the k smallest values across workers,
+/// which is exactly what one heap over the whole scan retains.
 Result<KMinHashSketch> ComputeKMinHashParallel(const RowStreamSource& source,
                                                const KMinHashConfig& config,
                                                const ExecutionConfig& execution,

@@ -7,11 +7,13 @@
 #include <limits>
 #include <numeric>
 
+#include "candgen/min_lsh.h"
 #include "mine/parallel.h"
 #include "sketch/k_min_hash.h"
 #include "sketch/min_hash.h"
 #include "sketch/signature_matrix.h"
 #include "util/checksum_io.h"
+#include "util/hashing.h"
 
 namespace sans {
 namespace {
@@ -23,18 +25,6 @@ constexpr uint32_t kMaxSketchK = 1u << 24;
 constexpr uint32_t kMaxRowsPerBand = 1u << 10;
 constexpr uint32_t kMaxBands = 1u << 16;
 constexpr uint32_t kMaxCols = 1u << 28;
-
-/// Band key of column `c`: the same order-sensitive combination of
-/// the band's r min-hash values MinLshCandidateGenerator buckets on,
-/// so the persisted buckets reproduce the batch miner's candidates.
-uint64_t BandKeyOf(const SignatureMatrix& signatures, int band,
-                   int rows_per_band, ColumnId c) {
-  uint64_t key = Mix64(0xb5ad4eceda1ce2a9ULL + band);
-  for (int i = 0; i < rows_per_band; ++i) {
-    key = CombineHashes(key, signatures.Value(band * rows_per_band + i, c));
-  }
-  return key;
-}
 
 /// Empty columns get a per-column key so they never share a bucket —
 /// an empty column has similarity 0 with everything.
@@ -96,7 +86,6 @@ Status IndexBuilder::Build(const RowStreamSource& source,
   // Pass 1: r·l min-hash rows for the band keys.
   MinHashConfig mh;
   mh.num_hashes = config_.rows_per_band * config_.num_bands;
-  mh.family = config_.family;
   mh.seed = config_.seed;
   SANS_ASSIGN_OR_RETURN(
       SignatureMatrix signatures,
@@ -106,7 +95,6 @@ Status IndexBuilder::Build(const RowStreamSource& source,
   // sketch must not reuse the hash function of any band row.
   KMinHashConfig kmh;
   kmh.k = config_.sketch_k;
-  kmh.family = config_.family;
   kmh.seed = Mix64(config_.seed ^ 0x736b6574636869ULL);
   SANS_ASSIGN_OR_RETURN(
       KMinHashSketch sketch,
@@ -130,18 +118,21 @@ Status IndexBuilder::Build(const RowStreamSource& source,
   SANS_RETURN_IF_ERROR(f.WriteScalar(static_cast<uint32_t>(config_.num_bands)));
   SANS_RETURN_IF_ERROR(f.WriteScalar(m));
   SANS_RETURN_IF_ERROR(f.WriteScalar(source.num_rows()));
-  SANS_RETURN_IF_ERROR(f.WriteScalar(static_cast<uint32_t>(config_.family)));
+  SANS_RETURN_IF_ERROR(f.WriteScalar(uint32_t{0}));  // family: splitmix64
   SANS_RETURN_IF_ERROR(f.WriteScalar(config_.seed));
 
-  // Band keys, band-major.
+  // Band keys, band-major, on the batch miner's band key, so the
+  // persisted buckets reproduce its candidates.
   std::vector<uint64_t> keys(m);
   std::vector<ColumnId> order(m);
+  std::vector<int> indices(config_.rows_per_band);
   std::vector<std::vector<uint64_t>> all_keys(config_.num_bands);
   for (int band = 0; band < config_.num_bands; ++band) {
+    std::iota(indices.begin(), indices.end(), band * config_.rows_per_band);
     for (ColumnId c = 0; c < m; ++c) {
       keys[c] = signatures.ColumnEmpty(c)
                     ? EmptyColumnKey(band, c)
-                    : BandKeyOf(signatures, band, config_.rows_per_band, c);
+                    : BandKey(signatures, band, indices, c);
     }
     SANS_RETURN_IF_ERROR(f.Write(keys.data(), keys.size() * sizeof(uint64_t)));
     all_keys[band] = keys;
@@ -212,14 +203,12 @@ Result<SimilarityIndex> SimilarityIndex::Load(const std::string& path) {
   SANS_RETURN_IF_ERROR(f.ReadScalar(&index.seed_));
   if (sketch_k == 0 || sketch_k > kMaxSketchK || rows_per_band == 0 ||
       rows_per_band > kMaxRowsPerBand || num_bands == 0 ||
-      num_bands > kMaxBands || index.num_cols_ > kMaxCols ||
-      family > static_cast<uint32_t>(HashFamily::kTabulation)) {
+      num_bands > kMaxBands || index.num_cols_ > kMaxCols || family != 0) {
     return Status::Corruption("similarity index header out of range");
   }
   index.sketch_k_ = static_cast<int>(sketch_k);
   index.rows_per_band_ = static_cast<int>(rows_per_band);
   index.num_bands_ = static_cast<int>(num_bands);
-  index.family_ = static_cast<HashFamily>(family);
 
   const uint64_t m = index.num_cols_;
   const uint64_t cells = static_cast<uint64_t>(num_bands) * m;

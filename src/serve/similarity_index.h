@@ -11,13 +11,16 @@
 //
 //   [magic u32 "SIDX"][version u32]
 //   [sketch_k u32][rows_per_band u32][num_bands u32]
-//   [num_cols u32][num_rows u32][family u32][seed u64]
+//   [num_cols u32][num_rows u32][family u32 = 0][seed u64]
 //   band keys:  num_bands × num_cols u64, band-major
 //   buckets:    per band, num_cols u32 column ids sorted by
 //               (band key, column id) — columns of one bucket are a
 //               contiguous run
 //   sketches:   per column, [cardinality u64][size u32][size × u64]
 //   [masked CRC32C u32]
+//
+// The family slot names the row hash (0 = splitmix64, the only one);
+// Load rejects any other value.
 //
 // The loaded index is read-only and position-independent: sketch
 // lookup is O(1) via an in-memory offset table, bucket lookup is a
@@ -43,7 +46,6 @@
 #include <vector>
 
 #include "matrix/row_stream.h"
-#include "util/hashing.h"
 #include "util/status.h"
 #include "util/thread_pool.h"
 
@@ -63,8 +65,6 @@ struct SimilarityIndexConfig {
   int rows_per_band = 5;
   /// l: number of bands.
   int num_bands = 20;
-  /// Row-hash family for both the band signatures and the sketches.
-  HashFamily family = HashFamily::kSplitMix64;
   uint64_t seed = 0;
   /// Build-time parallelism: the block pipeline's worker count for both
   /// build passes (bit-identical output for any thread count).
@@ -86,7 +86,6 @@ class SimilarityIndex {
   int sketch_k() const { return sketch_k_; }
   int rows_per_band() const { return rows_per_band_; }
   int num_bands() const { return num_bands_; }
-  HashFamily family() const { return family_; }
   uint64_t seed() const { return seed_; }
 
   /// Bottom-k signature of `col`, ascending distinct hash values. O(1).
@@ -127,7 +126,6 @@ class SimilarityIndex {
   int num_bands_ = 0;
   ColumnId num_cols_ = 0;
   RowId num_rows_ = 0;
-  HashFamily family_ = HashFamily::kSplitMix64;
   uint64_t seed_ = 0;
   std::vector<uint64_t> band_keys_;      // num_bands × num_cols, band-major
   std::vector<ColumnId> buckets_;        // num_bands × num_cols, band-major

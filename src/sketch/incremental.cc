@@ -10,12 +10,12 @@ namespace sans {
 namespace {
 
 // The sketch of `cardinalities.size()` columns whose ascending heap
-// values `values(c)` yields. Distinct rows hash to distinct values for
-// the bijective families (splitmix64, multiply-shift); tabulation can
-// collide, so the values are deduplicated to keep the "sample of
-// distinct rows" semantics of Proposition 2. The heaps hold the k
-// smallest values with repeats, so the dedup comes after the
-// truncation to k, the same at every thread count.
+// values `values(c)` yields. Distinct rows of one column always hash to
+// distinct values: splitmix64 is a bijection, and the clamp's only
+// collision (UINT64_MAX onto UINT64_MAX - 1) needs two row ids
+// 0xe251b3f6d18f1f94 apart, more than 32-bit RowIds can be. The dedup
+// only guards against a row id that AddRow receives twice, keeping the
+// "sample of distinct rows" semantics of Proposition 2.
 template <typename ValuesFn>
 KMinHashSketch ToSketch(int k, const std::vector<uint64_t>& cardinalities,
                         const ValuesFn& values) {
@@ -34,7 +34,7 @@ KMinHashSketch ToSketch(int k, const std::vector<uint64_t>& cardinalities,
 
 IncrementalKMinHashBuilder::IncrementalKMinHashBuilder(
     const KMinHashConfig& config, ColumnId num_cols)
-    : config_(config), hasher_(config.family, config.seed) {
+    : config_(config), hasher_(config.seed) {
   SANS_CHECK(config.Validate().ok());
   heaps_.reserve(num_cols);
   for (ColumnId c = 0; c < num_cols; ++c) {
@@ -88,11 +88,8 @@ Status IncrementalKMinHashBuilder::AddAll(RowStream* rows) {
 }
 
 Status IncrementalKMinHashBuilder::Merge(IncrementalKMinHashBuilder& other) {
-  if (other.config_.k != config_.k ||
-      other.config_.family != config_.family ||
-      other.config_.seed != config_.seed) {
-    return Status::InvalidArgument(
-        "builders must share k, hash family, and seed to merge");
+  if (other.config_.k != config_.k || other.config_.seed != config_.seed) {
+    return Status::InvalidArgument("builders must share k and seed to merge");
   }
   if (other.num_cols() != num_cols()) {
     return Status::InvalidArgument("builders must share the column width");

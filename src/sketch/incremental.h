@@ -62,7 +62,7 @@ class IncrementalKMinHashBuilder {
 
   /// Folds another builder (over a disjoint row set) into this one,
   /// freeing the other's values as it goes and leaving it empty.
-  /// Requires identical k, hash family, seed, and width; on a mismatch
+  /// Requires identical k, seed, and width; on a mismatch
   /// neither builder changes.
   Status Merge(IncrementalKMinHashBuilder& other);
 

@@ -24,8 +24,6 @@ namespace sans {
 struct KMinHashConfig {
   /// k: signature capacity per column.
   int k = 100;
-  /// Row-hash family (a single function is drawn from it).
-  HashFamily family = HashFamily::kSplitMix64;
   uint64_t seed = 0;
 
   Status Validate() const;

@@ -27,7 +27,7 @@ int RecommendedNumHashes(double delta, double epsilon, double c) {
 
 MinHashGenerator::MinHashGenerator(const MinHashConfig& config)
     : config_(config),
-      bank_(config.family, config.num_hashes, config.seed) {
+      bank_(config.num_hashes, config.seed) {
   SANS_CHECK(config.Validate().ok());
 }
 

@@ -21,8 +21,6 @@ struct MinHashConfig {
   /// k >= 2 δ⁻² c⁻¹ log ε⁻¹ for error δ and failure probability ε at
   /// similarity floor c).
   int num_hashes = 100;
-  /// Which row-hash family to use.
-  HashFamily family = HashFamily::kSplitMix64;
   /// Master seed; every run with the same seed and input is
   /// reproducible.
   uint64_t seed = 0;

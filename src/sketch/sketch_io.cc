@@ -1,6 +1,7 @@
 #include "sketch/sketch_io.h"
 
 #include <cstdio>
+#include <limits>
 #include <vector>
 
 #include "util/checksum_io.h"
@@ -28,10 +29,25 @@ Status CheckHeader(CrcFile* f, uint32_t expected_magic, uint32_t* version,
   }
   SANS_RETURN_IF_ERROR(f->ReadScalar(k));
   SANS_RETURN_IF_ERROR(f->ReadScalar(m));
-  if (*k == 0) {
-    return Status::Corruption("k must be positive");
+  if (*k == 0 || *k > static_cast<uint32_t>(std::numeric_limits<int>::max())) {
+    return Status::Corruption("k out of range");
   }
   return Status::OK();
+}
+
+/// Bytes of `f` after the current position. Every length a header
+/// declares is checked against it before anything is sized from it,
+/// so a corrupt header fails as kCorruption instead of allocating.
+Result<uint64_t> BytesLeft(std::FILE* f) {
+  const long pos = std::ftell(f);
+  if (pos < 0 || std::fseek(f, 0, SEEK_END) != 0) {
+    return Status::IOError("cannot seek in sketch file");
+  }
+  const long end = std::ftell(f);
+  if (end < pos || std::fseek(f, pos, SEEK_SET) != 0) {
+    return Status::IOError("cannot seek in sketch file");
+  }
+  return static_cast<uint64_t>(end - pos);
 }
 
 }  // namespace
@@ -66,6 +82,11 @@ Result<SignatureMatrix> ReadSignatureMatrix(const std::string& path) {
   uint32_t m = 0;
   SANS_RETURN_IF_ERROR(
       CheckHeader(&f, kSignatureFileMagic, &version, &k, &m));
+  SANS_ASSIGN_OR_RETURN(const uint64_t left, BytesLeft(file.get()));
+  // k and m are below 2^32, so k * m fits in 64 bits.
+  if (static_cast<uint64_t>(k) * m > left / sizeof(uint64_t)) {
+    return Status::Corruption("signature file shorter than its header");
+  }
   SignatureMatrix signatures(static_cast<int>(k), m);
   std::vector<uint64_t> row(m);
   for (uint32_t l = 0; l < k; ++l) {
@@ -109,6 +130,12 @@ Result<KMinHashSketch> ReadKMinHashSketch(const std::string& path) {
   uint32_t k = 0;
   uint32_t m = 0;
   SANS_RETURN_IF_ERROR(CheckHeader(&f, kSketchFileMagic, &version, &k, &m));
+  // Each column takes at least its cardinality and size fields.
+  constexpr uint64_t kColumnHeaderBytes = sizeof(uint64_t) + sizeof(uint32_t);
+  SANS_ASSIGN_OR_RETURN(uint64_t left, BytesLeft(file.get()));
+  if (m > left / kColumnHeaderBytes) {
+    return Status::Corruption("sketch file shorter than its header");
+  }
   KMinHashSketch sketch(static_cast<int>(k), m);
   for (ColumnId c = 0; c < m; ++c) {
     uint64_t cardinality = 0;
@@ -118,6 +145,12 @@ Result<KMinHashSketch> ReadKMinHashSketch(const std::string& path) {
     if (size > k) {
       return Status::Corruption("signature larger than k");
     }
+    left -= kColumnHeaderBytes;
+    if (size > left / sizeof(uint64_t)) {
+      return Status::Corruption("sketch file shorter than column " +
+                                std::to_string(c));
+    }
+    left -= size * sizeof(uint64_t);
     std::vector<uint64_t> signature(size);
     SANS_RETURN_IF_ERROR(
         f.Read(signature.data(), signature.size() * sizeof(uint64_t)));

@@ -146,8 +146,7 @@ TEST_F(IntegrationTest, OptimizerDrivenMlshMeetsItsBudget) {
   opt_options.max_false_negatives =
       std::max(1.0, 0.05 * static_cast<double>(total_true));
   opt_options.max_false_positives = 1e6;
-  auto miner = MlshMiner::FromDistribution(*distr, opt_options,
-                                           HashFamily::kSplitMix64, 3);
+  auto miner = MlshMiner::FromDistribution(*distr, opt_options, 3);
   ASSERT_TRUE(miner.ok());
 
   InMemorySource source(&dataset->matrix);

@@ -9,6 +9,7 @@
 
 #include "data/synthetic_generator.h"
 #include "matrix/row_stream.h"
+#include "util/endian.h"
 
 namespace sans {
 namespace {
@@ -128,6 +129,37 @@ TEST_F(TableFileTest, BadMagicIsCorruption) {
   auto reader = TableFileReader::Open(path);
   EXPECT_FALSE(reader.ok());
   EXPECT_EQ(reader.status().code(), StatusCode::kCorruption);
+}
+
+TEST_F(TableFileTest, OversizedRowCountIsCorruptionWithoutAllocating) {
+  // 36 bytes: a 1 x 10 header, then a row claiming 0xFFFFFFFF entries
+  // (16 GB of column ids). A valid row holds at most num_cols ids, so
+  // the reader must reject the count before sizing its buffer.
+  const std::string path = Path("huge_row.sans");
+  {
+    std::vector<unsigned char> bytes(36, 0);
+    const uint32_t header[5] = {kTableFileMagic, kTableFileVersion, 1, 10,
+                                0xFFFFFFFFu};
+    for (int i = 0; i < 5; ++i) {
+      EncodeLE32(header[i], bytes.data() + 4 * i);
+    }
+    std::ofstream out(path, std::ios::binary);
+    out.write(reinterpret_cast<const char*>(bytes.data()), bytes.size());
+  }
+  auto loaded = ReadTableFile(path);
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), StatusCode::kCorruption);
+
+  auto source = TableFileSource::Create(path);
+  ASSERT_TRUE(source.ok());
+  auto stream = source->Open();
+  ASSERT_TRUE(stream.ok());
+  RowView view;
+  EXPECT_FALSE((*stream)->Next(&view));
+  EXPECT_EQ((*stream)->stream_status().code(), StatusCode::kCorruption);
+  // Framing is lost, so a further Next() does not resume.
+  EXPECT_FALSE((*stream)->Next(&view));
+  EXPECT_EQ((*stream)->stream_status().code(), StatusCode::kCorruption);
 }
 
 TEST_F(TableFileTest, TruncatedFileIsDetected) {

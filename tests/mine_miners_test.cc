@@ -205,8 +205,7 @@ TEST(MlshMinerTest, FromDistributionDerivesParameters) {
   options.s0 = 0.5;
   options.max_false_negatives = 2.0;
   options.max_false_positives = 500.0;
-  auto miner = MlshMiner::FromDistribution(distr, options,
-                                           HashFamily::kSplitMix64, 1);
+  auto miner = MlshMiner::FromDistribution(distr, options, 1);
   ASSERT_TRUE(miner.ok());
   ASSERT_TRUE(miner->optimized_parameters().has_value());
   EXPECT_EQ(miner->config().lsh.rows_per_band,
@@ -225,8 +224,7 @@ TEST(MlshMinerTest, FromDistributionReportsInfeasibility) {
   options.max_false_positives = 0.0001;
   options.max_r = 5;
   options.max_l = 8;
-  auto miner = MlshMiner::FromDistribution(distr, options,
-                                           HashFamily::kSplitMix64, 1);
+  auto miner = MlshMiner::FromDistribution(distr, options, 1);
   EXPECT_FALSE(miner.ok());
   EXPECT_EQ(miner.status().code(), StatusCode::kNotFound);
 }

@@ -27,7 +27,7 @@ namespace sans {
 /// checked MinUpdate, with the clamp applied per value.
 inline SignatureMatrix NaiveMinHash(const BinaryMatrix& m,
                                     const MinHashConfig& config) {
-  HashFunctionBank bank(config.family, config.num_hashes, config.seed);
+  HashFunctionBank bank(config.num_hashes, config.seed);
   SignatureMatrix naive(config.num_hashes, m.num_cols());
   for (RowId r = 0; r < m.num_rows(); ++r) {
     for (ColumnId c : m.Row(r)) {
@@ -40,20 +40,18 @@ inline SignatureMatrix NaiveMinHash(const BinaryMatrix& m,
 }
 
 /// Bottom-k signature of one column: the clamped hashes of all its
-/// rows, sorted, truncated to k, then deduplicated (tabulation hashing
-/// can collide; the truncation comes first, as in Proposition 2's
-/// sample of the k smallest values).
+/// rows, sorted and truncated to k (Proposition 2's sample of the k
+/// smallest values). Distinct rows hash to distinct values.
 inline std::vector<uint64_t> NaiveBottomK(const BinaryMatrix& m,
                                           const KMinHashConfig& config,
                                           ColumnId col) {
-  const RowHasher hasher(config.family, config.seed);
+  const RowHasher hasher(config.seed);
   std::vector<uint64_t> values;
   for (RowId r : m.Column(col)) values.push_back(HashRowClamped(hasher, r));
   std::sort(values.begin(), values.end());
   if (values.size() > static_cast<size_t>(config.k)) {
     values.resize(static_cast<size_t>(config.k));
   }
-  values.erase(std::unique(values.begin(), values.end()), values.end());
   return values;
 }
 

@@ -400,6 +400,30 @@ TEST_F(SimilarityIndexTest, InflatedHeaderDimensionsRejectedEarly) {
   EXPECT_EQ(index.status().code(), StatusCode::kCorruption);
 }
 
+TEST_F(SimilarityIndexTest, UnknownHashFamilyRejected) {
+  // The header's family slot must be 0 (splitmix64, the only row
+  // hash). The trailer is recomputed, so only the family check can
+  // reject the file.
+  const BinaryMatrix matrix = TestMatrix();
+  const std::string path = Path("family.sidx");
+  ASSERT_TRUE(IndexBuilder(SmallConfig())
+                  .Build(InMemorySource(&matrix), path)
+                  .ok());
+  std::vector<char> bytes = ReadAll(path);
+  auto rewrite = [&](uint32_t family) {
+    auto* data = reinterpret_cast<unsigned char*>(bytes.data());
+    EncodeLE32(family, data + 28);
+    EncodeLE32(Crc32cMask(Crc32c(data, bytes.size() - 4)),
+               data + bytes.size() - 4);
+    WriteAll(path, bytes);
+    return SimilarityIndex::Load(path);
+  };
+  auto index = rewrite(2);
+  ASSERT_FALSE(index.ok());
+  EXPECT_EQ(index.status().code(), StatusCode::kCorruption);
+  EXPECT_TRUE(rewrite(0).ok());
+}
+
 TEST_F(SimilarityIndexTest, ConfigValidateRejectsBadShapes) {
   SimilarityIndexConfig config = SmallConfig();
   config.sketch_k = 0;

@@ -9,6 +9,7 @@
 #include "data/synthetic_generator.h"
 #include "matrix/row_stream.h"
 #include "sketch/min_hash.h"
+#include "util/endian.h"
 
 namespace sans {
 namespace {
@@ -229,6 +230,72 @@ TEST_F(SketchIoTest, VersionOneSketchFileStillLoads) {
     const auto b = loaded->Signature(c);
     EXPECT_EQ(std::vector<uint64_t>(a.begin(), a.end()),
               std::vector<uint64_t>(b.begin(), b.end()));
+  }
+}
+
+// Writes a sketch-file header (magic, version, k, m) followed by the
+// 32-bit words `body`, exactly as given.
+void WriteRawSketch(const std::string& path, uint32_t magic,
+                    uint32_t version, uint32_t k, uint32_t m,
+                    const std::vector<uint32_t>& body) {
+  std::vector<uint32_t> words = {magic, version, k, m};
+  words.insert(words.end(), body.begin(), body.end());
+  std::vector<unsigned char> bytes(4 * words.size());
+  for (size_t i = 0; i < words.size(); ++i) {
+    EncodeLE32(words[i], bytes.data() + 4 * i);
+  }
+  std::ofstream out(path, std::ios::binary);
+  out.write(reinterpret_cast<const char*>(bytes.data()), bytes.size());
+}
+
+TEST_F(SketchIoTest, OversizedSketchHeaderIsCorruption) {
+  // 16 bytes declaring k = 2^32 - 1 and m = 2^31 - 1: the reader must
+  // check both against the file before sizing anything from them.
+  for (uint32_t version : {1u, 2u}) {
+    SCOPED_TRACE("version=" + std::to_string(version));
+    const std::string path = Path("huge_header.sans");
+    WriteRawSketch(path, kSketchFileMagic, version, 0xFFFFFFFFu, 0x7FFFFFFFu,
+                   {});
+    EXPECT_EQ(ReadKMinHashSketch(path).status().code(),
+              StatusCode::kCorruption);
+    // A k the reader accepts, with a column count the file cannot hold.
+    WriteRawSketch(path, kSketchFileMagic, version, 100, 0x7FFFFFFFu,
+                   {0, 0, 0});
+    EXPECT_EQ(ReadKMinHashSketch(path).status().code(),
+              StatusCode::kCorruption);
+  }
+}
+
+TEST_F(SketchIoTest, OversizedSketchColumnIsCorruption) {
+  // 36 bytes, m = 1: the one column (cardinality, size) claims
+  // 2^31 - 1 values, within k but far beyond the file.
+  for (uint32_t version : {1u, 2u}) {
+    SCOPED_TRACE("version=" + std::to_string(version));
+    const std::string path = Path("huge_column.sans");
+    WriteRawSketch(path, kSketchFileMagic, version, 0x7FFFFFFFu, 1,
+                   {5, 0, 0x7FFFFFFFu, 0, 0});
+    ASSERT_EQ(std::filesystem::file_size(path), 36u);
+    EXPECT_EQ(ReadKMinHashSketch(path).status().code(),
+              StatusCode::kCorruption);
+  }
+}
+
+TEST_F(SketchIoTest, OversizedSignatureHeaderIsCorruption) {
+  for (uint32_t version : {1u, 2u}) {
+    SCOPED_TRACE("version=" + std::to_string(version));
+    const std::string path = Path("huge_signatures.sans");
+    WriteRawSketch(path, kSignatureFileMagic, version, 0x7FFFFFFFu,
+                   0x7FFFFFFFu, {0, 0, 0, 0});
+    EXPECT_EQ(ReadSignatureMatrix(path).status().code(),
+              StatusCode::kCorruption);
+    WriteRawSketch(path, kSignatureFileMagic, version, 0xFFFFFFFFu, 1, {0, 0});
+    EXPECT_EQ(ReadSignatureMatrix(path).status().code(),
+              StatusCode::kCorruption);
+    // One value short of a 2 x 3 matrix.
+    WriteRawSketch(path, kSignatureFileMagic, version, 2, 3,
+                   std::vector<uint32_t>(10, 0));
+    EXPECT_EQ(ReadSignatureMatrix(path).status().code(),
+              StatusCode::kCorruption);
   }
 }
 

@@ -16,6 +16,7 @@
 #include "matrix/block_reader.h"
 #include "matrix/row_stream.h"
 #include "naive_reference.h"
+#include "seed_param.h"
 #include "sketch/incremental.h"
 #include "sketch/k_min_hash.h"
 #include "sketch/min_hash.h"
@@ -78,9 +79,32 @@ TEST(ClampRowHashTest, OnlyLowersTheSentinel) {
   EXPECT_EQ(ClampRowHash(42), 42u);
 }
 
+TEST(ClampRowHashTest, OnlyCollisionNeedsRowIdsFarApart) {
+  // HashKey is a bijection, so after the clamp the only two keys that
+  // share a value are the preimages of UINT64_MAX and UINT64_MAX - 1.
+  // Their difference does not depend on the seed, and no two 32-bit
+  // row ids are that far apart: distinct rows of one table always get
+  // distinct clamped hashes.
+  static_assert(sizeof(RowId) == 4, "RowId must be 32-bit");
+  constexpr uint64_t kCollisionGap = 0xe251b3f6d18f1f94ULL;
+  for (const uint64_t seed :
+       std::vector<uint64_t>{0, 1, 99, SentinelSeedForKeyZero()}) {
+    const uint64_t offset = kGolden * (seed + 1);
+    const uint64_t to_max = InvMix64(kMax) - offset;
+    const uint64_t to_below = InvMix64(kMax - 1) - offset;
+    ASSERT_EQ(HashKey(to_max, seed), kMax);
+    ASSERT_EQ(HashKey(to_below, seed), kMax - 1);
+    EXPECT_EQ(ClampRowHash(HashKey(to_max, seed)),
+              ClampRowHash(HashKey(to_below, seed)));
+    EXPECT_EQ(to_max - to_below, kCollisionGap) << "seed=" << seed;
+  }
+  EXPECT_GT(kCollisionGap, std::numeric_limits<RowId>::max());
+  EXPECT_GT(0 - kCollisionGap, std::numeric_limits<RowId>::max());
+}
+
 TEST(ClampRowHashTest, HashRowClampedAppliesClamp) {
   const uint64_t seed = SentinelSeedForKeyZero();
-  const RowHasher hasher(HashFamily::kSplitMix64, seed);
+  const RowHasher hasher(seed);
   // Precondition: the raw hash really is the sentinel value, so this
   // test exercises the clamp and not luck.
   ASSERT_EQ(hasher.Hash(0), kMax);
@@ -89,7 +113,7 @@ TEST(ClampRowHashTest, HashRowClampedAppliesClamp) {
 
 TEST(ClampRowHashTest, HashBlockClampedAppliesClamp) {
   const uint64_t seed = SentinelSeedForKeyZero();
-  const RowHasher hasher(HashFamily::kSplitMix64, seed);
+  const RowHasher hasher(seed);
   const std::vector<uint64_t> keys = {0, 1, 2};
   std::vector<uint64_t> values;
   HashBlockClamped(hasher, keys, &values);
@@ -112,7 +136,7 @@ TEST(SentinelClampTest, KMinHashGeneratorClampsForcedSentinel) {
   KMinHashConfig config;
   config.k = 4;
   config.seed = SentinelSeedForKeyZero();
-  ASSERT_EQ(RowHasher(config.family, config.seed).Hash(0), kMax);
+  ASSERT_EQ(RowHasher(config.seed).Hash(0), kMax);
 
   const BinaryMatrix m = OneRowMatrix();
   KMinHashGenerator generator(config);
@@ -149,7 +173,7 @@ TEST(SentinelClampTest, MinHashGeneratorClampsForcedSentinel) {
   config.num_hashes = 1;
   config.seed = master;
   {
-    HashFunctionBank bank(config.family, 1, master);
+    HashFunctionBank bank(1, master);
     ASSERT_EQ(bank.Hash(0, 0), kMax);
   }
   const BinaryMatrix m = OneRowMatrix();
@@ -193,20 +217,18 @@ void ExpectSameSignatures(const SignatureMatrix& a, const SignatureMatrix& b) {
 }
 
 class BlockedKernelIdentityTest
-    : public ::testing::TestWithParam<HashFamily> {};
+    : public ::testing::TestWithParam<SeedParam> {};
 
 TEST_P(BlockedKernelIdentityTest, MinHashMatchesNaiveReference) {
   const BinaryMatrix m = KernelTestMatrix();
   MinHashConfig config;
   config.num_hashes = 33;
-  config.family = GetParam();
-  config.seed = 99;
+  config.seed = 99 + GetParam().offset;
 
   MinHashGenerator generator(config);
   InMemoryRowStream stream(&m);
   auto blocked = generator.Compute(&stream);
   ASSERT_TRUE(blocked.ok());
-  SCOPED_TRACE(std::string("family=") + HashFamilyToString(config.family));
   ExpectSameSignatures(*blocked, NaiveMinHash(m, config));
 }
 
@@ -214,8 +236,7 @@ TEST_P(BlockedKernelIdentityTest, KMinHashMatchesIncrementalBuilder) {
   const BinaryMatrix m = KernelTestMatrix();
   KMinHashConfig config;
   config.k = 16;
-  config.family = GetParam();
-  config.seed = 7;
+  config.seed = 7 + GetParam().offset;
 
   KMinHashGenerator generator(config);
   InMemoryRowStream stream(&m);
@@ -241,15 +262,13 @@ TEST_P(BlockedKernelIdentityTest, KMinHashMatchesIncrementalBuilder) {
 }
 
 INSTANTIATE_TEST_SUITE_P(AllFamilies, BlockedKernelIdentityTest,
-                         ::testing::Values(HashFamily::kSplitMix64,
-                                           HashFamily::kMultiplyShift,
-                                           HashFamily::kTabulation));
+                         ::testing::ValuesIn(kSeedOffsets));
 
 // ---- The Min-Hash kernel against the naive reference, per k ----
 
 // The bank derives function f's seed as Mix64(master + 0x100000001b3 *
-// (f + 1)); this master seed makes splitmix64 function `f` hash row 0
-// to exactly UINT64_MAX.
+// (f + 1)); this master seed makes function `f` hash row 0 to exactly
+// UINT64_MAX.
 uint64_t MasterSeedForcingSentinel(int f) {
   return InvMix64(SentinelSeedForKeyZero()) -
          0x100000001b3ULL * static_cast<uint64_t>(f + 1);
@@ -275,21 +294,22 @@ BinaryMatrix SweepMatrix() {
   return std::move(m).value();
 }
 
+// Offset 0 runs the master seed that forces the sentinel; offsets 1
+// and 2 shift it, which gives ordinary seeds.
 class BlockedKernelSweepTest
-    : public ::testing::TestWithParam<std::tuple<HashFamily, int>> {};
+    : public ::testing::TestWithParam<std::tuple<SeedParam, int>> {};
 
 TEST_P(BlockedKernelSweepTest, MatchesNaiveReference) {
-  const auto [family, num_hashes] = GetParam();
+  const auto [seed, num_hashes] = GetParam();
   const BinaryMatrix m = SweepMatrix();
   MinHashConfig config;
   config.num_hashes = num_hashes;
-  config.family = family;
-  config.seed = MasterSeedForcingSentinel(num_hashes - 1);
-  const bool forced = family == HashFamily::kSplitMix64;
+  config.seed = MasterSeedForcingSentinel(num_hashes - 1) + seed.offset;
+  const bool forced = seed.offset == 0;
   if (forced) {
     // Precondition: the last function (the tail lane when k is not a
     // multiple of 8) really hashes row 0 to the sentinel.
-    HashFunctionBank bank(family, num_hashes, config.seed);
+    HashFunctionBank bank(num_hashes, config.seed);
     ASSERT_EQ(bank.Hash(num_hashes - 1, 0), kMax);
   }
 
@@ -313,15 +333,13 @@ TEST_P(BlockedKernelSweepTest, MatchesNaiveReference) {
 
 INSTANTIATE_TEST_SUITE_P(
     FamiliesAndK, BlockedKernelSweepTest,
-    ::testing::Combine(::testing::Values(HashFamily::kSplitMix64,
-                                         HashFamily::kMultiplyShift,
-                                         HashFamily::kTabulation),
+    ::testing::Combine(::testing::ValuesIn(kSeedOffsets),
                        ::testing::Values(1, 7, 8, 9, 33, 64, 100)),
     [](const auto& info) {
-      std::string family = HashFamilyToString(std::get<0>(info.param));
-      family.erase(std::remove(family.begin(), family.end(), '-'),
-                   family.end());
-      return family + "_k" + std::to_string(std::get<1>(info.param));
+      const uint32_t offset = std::get<0>(info.param).offset;
+      return std::string("splitmix64_") +
+             (offset == 0 ? "" : "seed" + std::to_string(offset) + "_") +
+             "k" + std::to_string(std::get<1>(info.param));
     });
 
 TEST(BlockedKernelLaneGroupsTest, CoverKExactlyWithNarrowerTail) {
@@ -384,18 +402,16 @@ TEST(BlockedKernelIsaTest, SelectionIsTheBestRunnableVariant) {
 
 TEST(BlockedKernelIsaTest, EveryRunnableVariantMatchesBaseline) {
   const BinaryMatrix m = SweepMatrix();
-  for (HashFamily family : {HashFamily::kSplitMix64,
-                            HashFamily::kMultiplyShift,
-                            HashFamily::kTabulation}) {
+  for (const SeedParam seed : kSeedOffsets) {
     for (int num_hashes : {1, 9, 64, 100}) {
-      const HashFunctionBank bank(family, num_hashes,
-                                  MasterSeedForcingSentinel(num_hashes - 1));
+      const HashFunctionBank bank(
+          num_hashes, MasterSeedForcingSentinel(num_hashes - 1) + seed.offset);
       const SignatureMatrix baseline =
           KernelSignatures(m, bank, MinHashIsa::kBaseline, 1);
       for (MinHashIsa isa : internal::RunnableMinHashIsas()) {
         for (int parts : {1, 3}) {
-          SCOPED_TRACE(std::string(MinHashIsaName(isa)) + " " +
-                       HashFamilyToString(family) +
+          SCOPED_TRACE(std::string(MinHashIsaName(isa)) +
+                       " offset=" + std::to_string(seed.offset) +
                        " k=" + std::to_string(num_hashes) +
                        " parts=" + std::to_string(parts));
           ExpectSameSignatures(KernelSignatures(m, bank, isa, parts),
@@ -403,49 +419,6 @@ TEST(BlockedKernelIsaTest, EveryRunnableVariantMatchesBaseline) {
         }
       }
     }
-  }
-}
-
-// ---- Regression: multiply-shift must estimate as well as splitmix ----
-
-// Two columns with exact Jaccard similarity 1/3 (|A ∩ B| = 50,
-// |A ∪ B| = 150).
-BinaryMatrix OverlapMatrix() {
-  std::vector<std::vector<ColumnId>> rows(150);
-  for (RowId r = 0; r < 100; ++r) rows[r].push_back(0);
-  for (RowId r = 50; r < 150; ++r) rows[r].push_back(1);
-  auto m = BinaryMatrix::FromRows(150, 2, rows);
-  EXPECT_TRUE(m.ok());
-  return std::move(m).value();
-}
-
-double MinHashEstimate(const BinaryMatrix& m, HashFamily family,
-                       uint64_t seed) {
-  MinHashConfig config;
-  config.num_hashes = 400;
-  config.family = family;
-  config.seed = seed;
-  MinHashGenerator generator(config);
-  InMemoryRowStream stream(&m);
-  auto signatures = generator.Compute(&stream);
-  EXPECT_TRUE(signatures.ok());
-  return signatures->FractionEqual(0, 1);
-}
-
-TEST(MultiplyShiftEstimateTest, ErrorComparableToSplitMix64) {
-  // The unfinalized a*x + b map made min-hash estimates collapse: its
-  // structured low bits correlate the per-function minima. The fixed
-  // hasher must track the true similarity as well as splitmix64 does
-  // on the same data and seeds.
-  const BinaryMatrix m = OverlapMatrix();
-  const double truth = 1.0 / 3.0;
-  for (uint64_t seed : {11u, 23u, 47u}) {
-    const double splitmix =
-        MinHashEstimate(m, HashFamily::kSplitMix64, seed);
-    const double multiply_shift =
-        MinHashEstimate(m, HashFamily::kMultiplyShift, seed);
-    EXPECT_NEAR(splitmix, truth, 0.08) << "seed=" << seed;
-    EXPECT_NEAR(multiply_shift, truth, 0.08) << "seed=" << seed;
   }
 }
 

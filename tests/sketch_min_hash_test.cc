@@ -10,6 +10,7 @@
 #include "data/synthetic_generator.h"
 #include "matrix/row_stream.h"
 #include "mine/parallel.h"
+#include "seed_param.h"
 #include "util/crc32c.h"
 
 namespace sans {
@@ -149,7 +150,7 @@ TEST(MinHashGeneratorTest, Proposition1EstimateConverges) {
   EXPECT_DOUBLE_EQ(sig->FractionEqual(0, 2), 0.0);
 }
 
-class MinHashFamilyTest : public ::testing::TestWithParam<HashFamily> {};
+class MinHashFamilyTest : public ::testing::TestWithParam<SeedParam> {};
 
 TEST_P(MinHashFamilyTest, AllFamiliesEstimateSimilarity) {
   SyntheticConfig data_config;
@@ -168,8 +169,7 @@ TEST_P(MinHashFamilyTest, AllFamiliesEstimateSimilarity) {
 
   MinHashConfig config;
   config.num_hashes = 800;
-  config.family = GetParam();
-  config.seed = 21;
+  config.seed = 21 + GetParam().offset;
   MinHashGenerator generator(config);
   InMemoryRowStream stream(&dataset->matrix);
   auto sig = generator.Compute(&stream);
@@ -179,9 +179,7 @@ TEST_P(MinHashFamilyTest, AllFamiliesEstimateSimilarity) {
 }
 
 INSTANTIATE_TEST_SUITE_P(AllFamilies, MinHashFamilyTest,
-                         ::testing::Values(HashFamily::kSplitMix64,
-                                           HashFamily::kMultiplyShift,
-                                           HashFamily::kTabulation));
+                         ::testing::ValuesIn(kSeedOffsets));
 
 // ---- Byte identity across thread counts, and pinned output bytes ----
 
@@ -262,26 +260,21 @@ TEST(MinHashGoldenTest, SignatureBytesArePinned) {
   // signature artifact and index built from them.
   const BinaryMatrix m = PinnedMatrix();
   const struct {
-    HashFamily family;
     int num_hashes;
     uint32_t crc;
   } kGolden[] = {
-      {HashFamily::kSplitMix64, 100, 0x760df6d1u},
-      {HashFamily::kMultiplyShift, 100, 0xb610cf99u},
-      {HashFamily::kTabulation, 100, 0x50516150u},
-      {HashFamily::kSplitMix64, 9, 0x7782a4e8u},
+      {100, 0x760df6d1u},
+      {9, 0x7782a4e8u},
   };
   for (const auto& golden : kGolden) {
     MinHashConfig config;
     config.num_hashes = golden.num_hashes;
-    config.family = golden.family;
     config.seed = 29;
     for (int threads : {1, 3}) {
       auto signatures = ComputeAtThreads(m, config, threads);
       ASSERT_TRUE(signatures.ok());
       EXPECT_EQ(SignatureCrc(*signatures), golden.crc)
-          << HashFamilyToString(golden.family) << " k=" << golden.num_hashes
-          << " threads=" << threads;
+          << "k=" << golden.num_hashes << " threads=" << threads;
     }
   }
 }

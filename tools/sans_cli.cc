@@ -338,7 +338,7 @@ Result<std::unique_ptr<Miner>> MakeMiner(const Args& args,
   SANS_ASSIGN_OR_RETURN(
       MlshMiner miner,
       MlshMiner::FromDistribution(MergeDistributions(low, high, 0.25), opt,
-                                  HashFamily::kSplitMix64, seed));
+                                  seed));
   std::fprintf(stderr, "auto-selected r=%d l=%d\n",
                miner.config().lsh.rows_per_band,
                miner.config().lsh.num_bands);
